@@ -11,11 +11,10 @@ identity can be verified with zero tolerance on explicit bases.
 from .scalars import HalfInt, binom_series_coeff, contraction_coeff, half
 from .fock import FockElement, ONE, e_coeff, h_act, monomial
 from .wedge import (VACUUM, WedgeBasis, WedgeElement, a_act, astar_act,
-                    normal_ordered_pair, wedge_deg)
-from .lattice import alpha0_eig, lattice_d_eig, mul_exp
-from .rep import (NotAWeightVector, State, WeightTriple, basis_state, c_act,
-                  chevalley_act, d_act, h_act_full, v0, v1, weight_of, x_act,
-                  y_act)
+                    normal_ordered_pair)
+from .rep import (NotAWeightVector, State, WeightTriple, alpha0_eig,
+                  basis_state, c_act, chevalley_act, d_act, h_act_full,
+                  lattice_d_eig, v0, v1, weight_of, x_act, y_act)
 from .zalg import (NoTerminationBound, NotInVacuumSpace, OmegaState,
                    gen_commutator, omega_basis, omega_embed, omega_project,
                    zminus_act, zop_via_definition, zplus_act)
@@ -27,8 +26,7 @@ __all__ = [
     "HalfInt", "half", "binom_series_coeff", "contraction_coeff",
     "FockElement", "ONE", "e_coeff", "h_act", "monomial",
     "WedgeBasis", "WedgeElement", "VACUUM", "a_act", "astar_act",
-    "normal_ordered_pair", "wedge_deg",
-    "mul_exp", "alpha0_eig", "lattice_d_eig",
+    "normal_ordered_pair", "alpha0_eig", "lattice_d_eig",
     "State", "WeightTriple", "NotAWeightVector", "basis_state", "v0", "v1",
     "x_act", "y_act", "h_act_full", "c_act", "d_act", "chevalley_act",
     "weight_of",

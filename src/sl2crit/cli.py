@@ -48,7 +48,6 @@ def build_spec(suite, args, config):
         "max_twice_deg": base.max_twice_deg,
         "charge_bound": base.charge_bound,
         "wedge_deg_cap": base.wedge_deg_cap,
-        "jobs": base.jobs,
     }
     for key in fields:
         if key in config:
@@ -152,12 +151,8 @@ def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--out", help="directory for report artifacts")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallelism hint (suites are deterministic "
-                        "regardless)")
     parser = argparse.ArgumentParser(
         prog="sl2crit",
-        parents=[common],
         description="Exact verification of the level -2 boson-parafermion "
                     "realization of affine sl2.")
     sub = parser.add_subparsers(dest="command")

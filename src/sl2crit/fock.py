@@ -24,10 +24,6 @@ def monomial(*parts):
     return tuple(sorted(parts, reverse=True))
 
 
-def monomial_degree(mono):
-    return sum(mono)
-
-
 class FockElement(LinearCombination):
     """Finite rational combination of Fock monomials."""
 
@@ -36,10 +32,9 @@ ONE = FockElement.basis(())
 
 
 @lru_cache(maxsize=None)
-def _partitions(n):
-    """All partitions of n as descending tuples (cached)."""
-    if n == 0:
-        return ((),)
+def _partitions(n, distinct=False):
+    """All partitions of n as descending tuples (cached); with `distinct`,
+    only those into distinct parts."""
     out = []
 
     def rec(remaining, maxpart, prefix):
@@ -48,7 +43,7 @@ def _partitions(n):
             return
         for p in range(min(remaining, maxpart), 0, -1):
             prefix.append(p)
-            rec(remaining - p, p, prefix)
+            rec(remaining - p, p - 1 if distinct else p, prefix)
             prefix.pop()
 
     rec(n, n, [])
@@ -138,9 +133,8 @@ def e_coeff(sup, sub, k, v):
     return v.map_basis(lambda mono: _e_coeff_monomial(sup, sub, k, mono))
 
 
-def serialize_monomial(mono):
-    return list(mono)
-
-
 def parse_monomial(data):
+    """A monomial from its JSON form, a list of positive integer parts."""
+    if not isinstance(data, list) or any(type(p) is not int for p in data):
+        raise ValueError(f"Fock monomial must be a list of integers: {data!r}")
     return monomial(*data)

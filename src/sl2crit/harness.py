@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from . import fock, rep, wedge, zalg
+from .fock import e_coeff
 from .linear import accumulate
 from .scalars import HalfInt, binom_series_coeff
 
@@ -42,12 +42,11 @@ class CheckSpec:
     max_twice_deg: int = 10
     charge_bound: int = 2
     wedge_deg_cap: int = 8
-    jobs: int = 1
 
     def __post_init__(self):
         if min(self.mode_bound, self.max_twice_deg, self.charge_bound,
-               self.wedge_deg_cap) < 0 or self.jobs < 1:
-            raise ValueError("bounds must be nonnegative, jobs positive")
+               self.wedge_deg_cap) < 0:
+            raise ValueError("bounds must be nonnegative")
 
 
 @dataclass
@@ -65,14 +64,19 @@ class Report:
     def passed(self):
         return not self.failures
 
-    def record(self, identity, params, basis, residual_json):
+    def check(self, identity, params, basis, residual):
+        """Count one check; a nonzero residual is recorded as a failure,
+        states through the state codec and anything else by repr."""
         self.checks_run += 1
-        if residual_json is not None:
+        if residual:
             self.failures.append({
                 "identity": identity,
                 "params": params,
                 "basis": basis,
-                "residual": residual_json,
+                "residual": (rep.state_to_json(residual)
+                             if isinstance(residual, (rep.State,
+                                                      zalg.OmegaState))
+                             else repr(residual)),
             })
 
     def finalize(self):
@@ -99,33 +103,13 @@ class ChargeCutoffLeak(RuntimeError):
 # ---------------------------------------------------------------------------
 # basis enumeration
 
-@lru_cache(maxsize=None)
-def strict_partitions(n):
-    """Partitions of n into distinct parts, as descending tuples."""
-    if n == 0:
-        return ((),)
-    out = []
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(remaining, maxpart), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p - 1, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return tuple(out)
-
-
 def wedge_bases_of_degree(k):
     """All wedge basis vectors of exact degree k (pairs of strict
     partitions: depths of extra negatives and of holes)."""
     out = []
     for a in range(k + 1):
-        for pa in strict_partitions(a):
-            for pb in strict_partitions(k - a):
+        for pa in fock._partitions(a, distinct=True):
+            for pb in fock._partitions(k - a, distinct=True):
                 neg = tuple(sorted(-2 * d - 1 for d in pa))
                 holes = tuple(sorted(2 * d + 1 for d in pb))
                 out.append(wedge.WedgeBasis(neg, holes))
@@ -157,12 +141,7 @@ def state_basis(max_twice_deg, charge_bound):
 def _basis_label(key):
     if isinstance(key, wedge.WedgeBasis):
         return json.dumps(wedge.serialize_basis(key))
-    if len(key) == 3 and isinstance(key[1], wedge.WedgeBasis):
-        mono, w, p = key
-        return json.dumps({"fock": list(mono),
-                           "wedge": wedge.serialize_basis(w), "charge": p})
-    w, p = key
-    return json.dumps({"wedge": wedge.serialize_basis(w), "charge": p})
+    return json.dumps(rep.key_to_json(key))
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +162,16 @@ def verify_clifford(spec):
                        + wedge.apply_mode("A*", n, wedge.a_act(m, w)))
                 expected = v.scale(-(m.as_fraction() ** 2 - Fraction(1, 4))) \
                     if m.twice + n.twice == 0 else wedge.WedgeElement.zero()
-                res = lhs - expected
-                report.record("anticommutator_A_Astar", [str(m), str(n)],
-                              _basis_label(w),
-                              None if not res else repr(res))
+                report.check("anticommutator_A_Astar", [str(m), str(n)],
+                             _basis_label(w), lhs - expected)
                 aa = (wedge.apply_mode("A", m, wedge.a_act(n, w))
                       + wedge.apply_mode("A", n, wedge.a_act(m, w)))
-                report.record("anticommutator_A_A", [str(m), str(n)],
-                              _basis_label(w), None if not aa else repr(aa))
+                report.check("anticommutator_A_A", [str(m), str(n)],
+                             _basis_label(w), aa)
                 ss = (wedge.apply_mode("A*", m, wedge.astar_act(n, w))
                       + wedge.apply_mode("A*", n, wedge.astar_act(m, w)))
-                report.record("anticommutator_Astar_Astar", [str(m), str(n)],
-                              _basis_label(w), None if not ss else repr(ss))
+                report.check("anticommutator_Astar_Astar", [str(m), str(n)],
+                             _basis_label(w), ss)
     return report.finalize()
 
 
@@ -208,39 +185,28 @@ def verify_current_relations(spec):
         s = rep.State.basis(key)
         label = _basis_label(key)
         for m in range(-M, M + 1):
-            xs = rep.x_act(m, s)
-            ys = rep.y_act(m, s)
-            hs = rep.h_act_full(m, s) if m else None
             for n in range(-M, M + 1):
                 hx = (rep.h_act_full(m, rep.x_act(n, s))
                       - rep.x_act(n, rep.h_act_full(m, s))
                       - rep.x_act(m + n, s).scale(2))
-                report.record("bracket_H_X", [m, n], label,
-                              None if not hx else rep.state_to_json(hx))
+                report.check("bracket_H_X", [m, n], label, hx)
                 hy = (rep.h_act_full(m, rep.y_act(n, s))
                       - rep.y_act(n, rep.h_act_full(m, s))
                       + rep.y_act(m + n, s).scale(2))
-                report.record("bracket_H_Y", [m, n], label,
-                              None if not hy else rep.state_to_json(hy))
+                report.check("bracket_H_Y", [m, n], label, hy)
                 xy = (rep.x_act(m, rep.y_act(n, s))
                       - rep.y_act(n, rep.x_act(m, s))
                       - rep.h_act_full(m + n, s))
                 if m + n == 0:
                     xy = xy - s.scale(-2 * m)
-                report.record("bracket_X_Y", [m, n], label,
-                              None if not xy else rep.state_to_json(xy))
+                report.check("bracket_X_Y", [m, n], label, xy)
                 if m and n:
                     hh = (rep.h_act_full(m, rep.h_act_full(n, s))
                           - rep.h_act_full(n, rep.h_act_full(m, s)))
                     if m + n == 0:
                         hh = hh - s.scale(-4 * m)
-                    report.record("bracket_H_H", [m, n], label,
-                                  None if not hh else rep.state_to_json(hh))
+                    report.check("bracket_H_H", [m, n], label, hh)
     return report.finalize()
-
-
-def _e(sup, sub, k, v):
-    return fock.e_coeff(sup, sub, k, v)
 
 
 def verify_e_identities(spec):
@@ -257,64 +223,57 @@ def verify_e_identities(spec):
         for sub in "+-":
             # E^+_s(z) E^-_s(z) = 1, coefficient of z^j.
             for j in range(0, K + 1) if sub == "+" else range(-K, 1):
-                if sub == "+":
-                    total = sum((_e("+", "+", k, _e("-", "+", j - k, v))
-                                 for k in range(j + 1)),
-                                fock.FockElement.zero())
-                else:
-                    total = sum((_e("+", "-", k, _e("-", "-", j - k, v))
-                                 for k in range(j, 1)),
-                                fock.FockElement.zero())
-                res = total - (v if j == 0 else fock.FockElement.zero())
-                report.record("unit_product", [sub, j], label,
-                              None if not res else repr(res))
+                ks = range(j + 1) if sub == "+" else range(j, 1)
+                total = sum((e_coeff("+", sub, k, e_coeff("-", sub, j - k, v))
+                             for k in ks), fock.FockElement.zero())
+                report.check("unit_product", [sub, j], label,
+                             total - (v if j == 0
+                                      else fock.FockElement.zero()))
         for sup in "+-":
             # E^s_-(z) E^s_+(w) = E^s_+(w) E^s_-(z) (1 - w/z)^{-1}.
             for a in range(K + 1):
                 for b in range(K + 1):
-                    lhs = _e(sup, "-", -a, _e(sup, "+", b, v))
-                    rhs = sum((_e(sup, "+", b - k,
-                                  _e(sup, "-", -(a - k), v))
+                    lhs = e_coeff(sup, "-", -a, e_coeff(sup, "+", b, v))
+                    rhs = sum((e_coeff(sup, "+", b - k,
+                                  e_coeff(sup, "-", -(a - k), v))
                                for k in range(min(a, b) + 1)),
                               fock.FockElement.zero())
-                    res = lhs - rhs
-                    report.record("swap_minus_plus_same_sup", [sup, a, b],
-                                  label, None if not res else repr(res))
+                    report.check("swap_minus_plus_same_sup", [sup, a, b],
+                                 label, lhs - rhs)
         # E^+_-(z) E^-_+(w) = E^-_+(w) E^+_-(z) (1 - w/z).
         for a in range(K + 1):
             for b in range(K + 1):
-                lhs = _e("+", "-", -a, _e("-", "+", b, v))
-                rhs = sum((_e("-", "+", b - k,
-                              _e("+", "-", -(a - k), v)).scale(
+                lhs = e_coeff("+", "-", -a, e_coeff("-", "+", b, v))
+                rhs = sum((e_coeff("-", "+", b - k,
+                              e_coeff("+", "-", -(a - k), v)).scale(
                                   binom_series_coeff(1, k))
                            for k in range(min(a, b, 1) + 1)),
                           fock.FockElement.zero())
-                res = lhs - rhs
-                report.record("swap_mixed_sup", [a, b], label,
-                              None if not res else repr(res))
+                report.check("swap_mixed_sup", [a, b], label, lhs - rhs)
         # Commuting pairs with equal subscripts.
         for s1, s2 in [("+", "+"), ("-", "+"), ("-", "-")]:
             for a in range(K + 1):
                 for b in range(K + 1):
-                    res = (_e(s1, "+", a, _e(s2, "+", b, v))
-                           - _e(s2, "+", b, _e(s1, "+", a, v)))
-                    report.record("commute_sub_plus", [s1, s2, a, b], label,
-                                  None if not res else repr(res))
-                    res = (_e(s1, "-", -a, _e(s2, "-", -b, v))
-                           - _e(s2, "-", -b, _e(s1, "-", -a, v)))
-                    report.record("commute_sub_minus", [s1, s2, a, b], label,
-                                  None if not res else repr(res))
+                    report.check("commute_sub_plus", [s1, s2, a, b], label,
+                                 e_coeff(s1, "+", a, e_coeff(s2, "+", b, v))
+                                 - e_coeff(s2, "+", b, e_coeff(s1, "+", a, v)))
+                    report.check("commute_sub_minus", [s1, s2, a, b], label,
+                                 e_coeff(s1, "-", -a,
+                                         e_coeff(s2, "-", -b, v))
+                                 - e_coeff(s2, "-", -b,
+                                           e_coeff(s1, "-", -a, v)))
         # d/dz (E^s_+(z) E^s_-(z)), coefficient of z^j, against the
         # middle-field form with modes H(n)/2.
         for sup in "+-":
             sgn = -1 if sup == "+" else 1
             for j in range(-K, K + 1):
-                lhs = sum((_e(sup, "+", k, _e(sup, "-", j + 1 - k, v))
+                lhs = sum((e_coeff(sup, "+", k,
+                                   e_coeff(sup, "-", j + 1 - k, v))
                            for k in range(max(0, j + 1), j + 1 + d + 1)),
                           fock.FockElement.zero()).scale(j + 1)
                 rhs = fock.FockElement.zero()
                 for b in range(0, -(d + 1), -1):
-                    inner = _e(sup, "-", b, v)
+                    inner = e_coeff(sup, "-", b, v)
                     if not inner:
                         continue
                     for n in range(b - j - 1, d + 1):
@@ -326,10 +285,9 @@ def verify_e_identities(spec):
                         mid = fock.h_act(n, inner).scale(Fraction(sgn, 2))
                         if not mid:
                             continue
-                        rhs = rhs + _e(sup, "+", a, mid)
-                res = lhs - rhs
-                report.record("derivative_identity", [sup, j], label,
-                              None if not res else repr(res))
+                        rhs = rhs + e_coeff(sup, "+", a, mid)
+                report.check("derivative_identity", [sup, j], label,
+                             lhs - rhs)
     return report.finalize()
 
 
@@ -340,33 +298,29 @@ def verify_hwv():
     f0v0 = rep.basis_state((), wedge.WedgeBasis((-3,), ()), 1, -2)
     f1v1 = rep.basis_state((), wedge.WedgeBasis((), (3,)), -2, 2)
 
-    def check(identity, got, want):
-        res = got - want
-        report.record(identity, [], "",
-                      None if not res else rep.state_to_json(res))
-
+    ch = rep.chevalley_act
     zero = rep.State.zero()
-    check("e0_kills_v0", rep.chevalley_act("e0", v0), zero)
-    check("e1_kills_v0", rep.chevalley_act("e1", v0), zero)
-    check("f1_kills_v0", rep.chevalley_act("f1", v0), zero)
-    check("e0_kills_v1", rep.chevalley_act("e0", v1), zero)
-    check("e1_kills_v1", rep.chevalley_act("e1", v1), zero)
-    check("f0_kills_v1", rep.chevalley_act("f0", v1), zero)
-    check("f0_v0_value", rep.chevalley_act("f0", v0), f0v0)
-    check("f1_v1_value", rep.chevalley_act("f1", v1), f1v1)
-    check("e0_f0_v0", rep.chevalley_act("e0", rep.chevalley_act("f0", v0)),
-          v0.scale(-2))
-    check("e1_f1_v1", rep.chevalley_act("e1", rep.chevalley_act("f1", v1)),
-          v1.scale(-2))
-    check("c_on_v0", rep.c_act(v0), v0.scale(-2))
+    for identity, got, want in [
+            ("e0_kills_v0", ch("e0", v0), zero),
+            ("e1_kills_v0", ch("e1", v0), zero),
+            ("f1_kills_v0", ch("f1", v0), zero),
+            ("e0_kills_v1", ch("e0", v1), zero),
+            ("e1_kills_v1", ch("e1", v1), zero),
+            ("f0_kills_v1", ch("f0", v1), zero),
+            ("f0_v0_value", ch("f0", v0), f0v0),
+            ("f1_v1_value", ch("f1", v1), f1v1),
+            ("e0_f0_v0", ch("e0", ch("f0", v0)), v0.scale(-2)),
+            ("e1_f1_v1", ch("e1", ch("f1", v1)), v1.scale(-2)),
+            ("c_on_v0", rep.c_act(v0), v0.scale(-2))]:
+        report.check(identity, [], "", got - want)
 
     for name, v, want in [("v0", v0, (Fraction(-2), Fraction(0), Fraction(0))),
                           ("v1", v1, (Fraction(0), Fraction(-2),
                                       Fraction(-1, 2)))]:
         got = rep.weight_of(v)
         ok = (got.h0, got.h1, got.d) == want
-        report.record(f"weight_{name}", [str(x) for x in want], "",
-                      None if ok else repr(got))
+        report.check(f"weight_{name}", [str(x) for x in want], "",
+                     None if ok else got)
     report.extra["weights"] = {
         "v0": ["-2", "0", "0"],
         "v1": ["0", "-2", "-1/2"],
@@ -393,14 +347,11 @@ def verify_z_suite(spec):
                     got = zalg.gen_commutator("+", "-", m, n, s)
                     want = s.scale(2 * p - 2 * m) if m + n == 0 \
                         else zalg.OmegaState.zero()
-                    res = got - want
-                    report.record("gencom_plus_minus", [m, n], label,
-                                  None if not res else zalg.omega_to_json(res))
+                    report.check("gencom_plus_minus", [m, n], label,
+                                 got - want)
                     for sg in "+-":
-                        res = zalg.gen_commutator(sg, sg, m, n, s)
-                        report.record(f"gencom_{sg}{sg}", [m, n], label,
-                                      None if not res
-                                      else zalg.omega_to_json(res))
+                        report.check(f"gencom_{sg}{sg}", [m, n], label,
+                                     zalg.gen_commutator(sg, sg, m, n, s))
     eq_cap = min(cap, 4)
     for w in wedge_bases_up_to(eq_cap):
         for p in range(-P, P + 1):
@@ -410,19 +361,16 @@ def verify_z_suite(spec):
             for m in range(-M, M + 1):
                 for sg, closed in [("+", zalg.zplus_act),
                                    ("-", zalg.zminus_act)]:
-                    res = (zalg.zop_via_definition(sg, m, emb)
-                           - zalg.omega_embed(closed(m, s)))
-                    report.record("definition_vs_closed_form", [sg, m], label,
-                                  None if not res else rep.state_to_json(res))
+                    report.check("definition_vs_closed_form", [sg, m], label,
+                                 zalg.zop_via_definition(sg, m, emb)
+                                 - zalg.omega_embed(closed(m, s)))
                 for n in range(1, 4):
                     for sg in "+-":
-                        res = (rep.h_act_full(n, zalg.zop_via_definition(
-                                  sg, m, emb))
-                               - zalg.zop_via_definition(
-                                  sg, m, rep.h_act_full(n, emb)))
-                        report.record("H_commutes_with_Z", [sg, m, n], label,
-                                      None if not res
-                                      else rep.state_to_json(res))
+                        report.check("H_commutes_with_Z", [sg, m, n], label,
+                                     rep.h_act_full(n, zalg.zop_via_definition(
+                                         sg, m, emb))
+                                     - zalg.zop_via_definition(
+                                         sg, m, rep.h_act_full(n, emb)))
     return report.finalize()
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import fock, lattice, wedge
+from . import fock, wedge
 from .linear import LinearCombination, accumulate
-from .scalars import HalfInt, format_rational, parse_rational
+from .scalars import HalfInt, format_rational
 
 
 class State(LinearCombination):
@@ -42,6 +42,19 @@ def v1():
     return basis_state(charge=-1)
 
 
+# The lattice factor: charge p stands for e^{p*alpha}, and (alpha, alpha) = 2
+# fixes both eigenvalues below.
+
+def alpha0_eig(p):
+    """Eigenvalue of the zero mode alpha(0) = H(0) on e^{p*alpha}."""
+    return 2 * p
+
+
+def lattice_d_eig(p):
+    """Eigenvalue of the derivation d on e^{p*alpha}: -(p*alpha, p*alpha)/4."""
+    return Fraction(-p * p, 2)
+
+
 class NotAWeightVector(ValueError):
     """Raised when a state is not a simultaneous h0/h1/d eigenvector."""
 
@@ -53,72 +66,53 @@ class WeightTriple:
     d: Fraction
 
 
-def _creatable_a_modes(w, tmin):
-    """Doubled modes t with a_act(t/2, w) != 0 and t >= tmin."""
-    modes = [t for t in w.holes if t >= tmin]
-    t = -3
-    while t >= tmin:
-        if t not in w.neg:
-            modes.append(t)
-        t -= 2
-    return modes
+def _field_basis(sign, m, fockmono, w, p):
+    """X(m) (sign +1) or Y(m) (sign -1) on a basis triple; returns
+    ((key, coeff), ...).
 
-
-def _removable_astar_modes(w, tmin):
-    """Doubled modes t with astar_act(t/2, w) != 0 and t >= tmin."""
-    modes = [-s for s in w.neg if -s >= tmin]
-    t = -3
-    while t >= tmin:
-        if -t not in w.holes:
-            modes.append(t)
-        t -= 2
-    return modes
+    Both fields are an oscillator dressed by the two exponentials and a
+    lattice shift by sign*alpha: X uses A and the '+' exponentials, Y uses
+    A* and the '-' ones.  The oscillator modes that act nontrivially are
+    the `own` perturbations (holes for A, negated extra negatives for A*)
+    and every t <= -3 not in `other` (extra negatives for A, negated
+    holes for A*).
+    """
+    if sign > 0:
+        sup, act, own, other = "+", wedge.a_act, w.holes, w.neg
+    else:
+        sup, act = "-", wedge.astar_act
+        own = tuple(-s for s in w.neg)
+        other = tuple(-s for s in w.holes)
+    sp = sign * p
+    out = {}
+    for k2 in range(sum(fockmono) + 1):
+        ann = fock._e_coeff_monomial(sup, "-", -k2, fockmono)
+        if not ann:
+            continue
+        # z-exponent balance: k1 - k2 - (t+1)/2 - sign*p = -m with k1 >= 0.
+        tmin = 2 * (m - sp - k2) - 1
+        modes = [t for t in own if t >= tmin]
+        modes.extend(t for t in range(-3, tmin - 1, -2) if t not in other)
+        for t in modes:
+            welem = act(HalfInt(t), w)
+            if not welem:
+                continue
+            k1 = k2 + (t + 1) // 2 + sp - m
+            for mono1, c1 in ann:
+                for mono2, c2 in fock._e_coeff_monomial(sup, "+", k1, mono1):
+                    for w2, cw in welem:
+                        accumulate(out, (mono2, w2, p + sign), c1 * c2 * cw)
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
 def _x_basis(m, fockmono, w, p):
-    """X(m) on a basis triple; returns ((key, coeff), ...)."""
-    out = {}
-    fdeg = sum(fockmono)
-    for k2 in range(fdeg + 1):
-        ann = fock._e_coeff_monomial("+", "-", -k2, fockmono)
-        if not ann:
-            continue
-        # z-exponent balance: k1 - k2 - (t+1)/2 - p = -m with k1 >= 0.
-        tmin = 2 * (m - p - k2) - 1
-        for t in _creatable_a_modes(w, tmin):
-            welem = wedge.a_act(HalfInt(t), w)
-            if not welem:
-                continue
-            k1 = k2 + (t + 1) // 2 + p - m
-            for mono1, c1 in ann:
-                for mono2, c2 in fock._e_coeff_monomial("+", "+", k1, mono1):
-                    for w2, cw in welem:
-                        accumulate(out, (mono2, w2, p + 1), c1 * c2 * cw)
-    return tuple(out.items())
+    return _field_basis(1, m, fockmono, w, p)
 
 
 @lru_cache(maxsize=None)
 def _y_basis(m, fockmono, w, p):
-    """Y(m) on a basis triple; returns ((key, coeff), ...)."""
-    out = {}
-    fdeg = sum(fockmono)
-    for k2 in range(fdeg + 1):
-        ann = fock._e_coeff_monomial("-", "-", -k2, fockmono)
-        if not ann:
-            continue
-        # z-exponent balance: k1 - k2 - (t+1)/2 + p = -m with k1 >= 0.
-        tmin = 2 * (m + p - k2) - 1
-        for t in _removable_astar_modes(w, tmin):
-            welem = wedge.astar_act(HalfInt(t), w)
-            if not welem:
-                continue
-            k1 = k2 + (t + 1) // 2 - p - m
-            for mono1, c1 in ann:
-                for mono2, c2 in fock._e_coeff_monomial("-", "+", k1, mono1):
-                    for w2, cw in welem:
-                        accumulate(out, (mono2, w2, p - 1), c1 * c2 * cw)
-    return tuple(out.items())
+    return _field_basis(-1, m, fockmono, w, p)
 
 
 def x_act(m, s):
@@ -132,7 +126,7 @@ def y_act(m, s):
 @lru_cache(maxsize=None)
 def _h_basis(n, fockmono, w, p):
     if n == 0:
-        return (((fockmono, w, p), Fraction(lattice.alpha0_eig(p))),)
+        return (((fockmono, w, p), Fraction(alpha0_eig(p))),)
     felem = fock.h_act(n, fock.FockElement.basis(fockmono))
     return tuple(((mono, w, p), c) for mono, c in felem)
 
@@ -150,7 +144,7 @@ def c_act(s):
 def term_d_eig(fockmono, w, p):
     """d-eigenvalue of a basis triple: -(Fock degree) - (wedge degree)
     - p^2/2."""
-    return Fraction(-sum(fockmono)) - w.degree() + lattice.lattice_d_eig(p)
+    return Fraction(-sum(fockmono)) - w.degree() + lattice_d_eig(p)
 
 
 def d_act(s):
@@ -191,26 +185,44 @@ def weight_of(s):
     )
 
 
+def key_to_json(key):
+    """JSON object of one basis key of a State or an OmegaState; "fock" is
+    written only for keys with a Fock factor."""
+    out = {"fock": list(key[0])} if len(key) == 3 else {}
+    out["wedge"] = wedge.serialize_basis(key[-2])
+    out["charge"] = key[-1]
+    return out
+
+
 def state_to_json(s):
-    terms = []
-    for (mono, w, p), c in sorted(
-            s.terms.items(),
-            key=lambda kv: (sum(kv[0][0]) + kv[0][1].degree(), kv[0][2],
-                            kv[0][0], kv[0][1].neg, kv[0][1].holes)):
-        terms.append({
-            "coeff": format_rational(c),
-            "fock": fock.serialize_monomial(mono),
-            "wedge": wedge.serialize_basis(w),
-            "charge": p,
-        })
-    return {"terms": terms}
+    """Canonical JSON of a State or an OmegaState, ordered by degree."""
+    def order(key):
+        mono, w, p = key if len(key) == 3 else ((),) + key
+        return (sum(mono) + w.degree(), p, mono, w.neg, w.holes)
+
+    return {"terms": [{"coeff": format_rational(s.terms[key]),
+                       **key_to_json(key)}
+                      for key in sorted(s.terms, key=order)]}
 
 
-def state_from_json(data):
+def state_from_json(data, cls=State):
+    """Inverse of state_to_json for `cls`, State or OmegaState; malformed
+    input raises ValueError (a missing field raises KeyError)."""
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list) or not all(isinstance(t, dict)
+                                              for t in terms):
+        raise ValueError('expected {"terms": [term, ...]}')
     out = {}
-    for term in data["terms"]:
-        key = (fock.parse_monomial(term["fock"]),
-               wedge.parse_basis(term["wedge"]),
-               int(term["charge"]))
-        accumulate(out, key, parse_rational(term["coeff"]))
-    return State(out)
+    for term in terms:
+        coeff, charge = term["coeff"], term["charge"]
+        if type(coeff) not in (int, str) or type(charge) is not int:
+            raise ValueError(f"bad coeff or charge in {term!r}")
+        try:
+            coeff = Fraction(coeff)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {term!r}") from None
+        key = (wedge.parse_basis(term["wedge"]), charge)
+        if issubclass(cls, State):
+            key = (fock.parse_monomial(term["fock"]),) + key
+        accumulate(out, key, coeff)
+    return cls(out)

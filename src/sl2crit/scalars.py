@@ -90,10 +90,6 @@ def format_rational(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s):
-    return Fraction(s)
-
-
 def binom_series_coeff(e, k):
     """Coefficient of x^k in the expansion of (1-x)^e about x = 0.
 

@@ -83,10 +83,6 @@ class WedgeElement(LinearCombination):
     """Finite rational combination of wedge basis vectors."""
 
 
-def wedge_deg(w):
-    return w.degree()
-
-
 def a_act(m, w):
     """Oscillator A(m): (m - 1/2) u_m ^ w, reordered into canonical form."""
     t = m.twice
@@ -162,6 +158,13 @@ def serialize_basis(w):
 
 
 def parse_basis(data):
-    neg = tuple(sorted(HalfInt.from_string(s).twice for s in data.get("neg", [])))
-    holes = tuple(sorted(HalfInt.from_string(s).twice for s in data.get("holes", [])))
+    """Inverse of serialize_basis; malformed input raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"wedge must be an object: {data!r}")
+    labels = [data.get("neg", []), data.get("holes", [])]
+    if any(not isinstance(ls, list) or any(not isinstance(s, str) for s in ls)
+           for ls in labels):
+        raise ValueError(f"wedge labels must be lists of strings: {data!r}")
+    neg, holes = (tuple(sorted(HalfInt.from_string(s).twice for s in ls))
+                  for ls in labels)
     return WedgeBasis(neg, holes)

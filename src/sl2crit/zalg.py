@@ -9,11 +9,9 @@ independent cross-check.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import fock, rep, wedge
-from .linear import LinearCombination, accumulate
-from .scalars import HalfInt, binom_series_coeff, format_rational, parse_rational
+from .linear import LinearCombination
+from .scalars import HalfInt, binom_series_coeff
 
 
 class OmegaState(LinearCombination):
@@ -176,24 +174,3 @@ def zop_via_definition(sgn, m, s):
             total = total + _e_coeff_state(sup, "+", a, mid)
     return total
 
-
-def omega_to_json(s):
-    terms = []
-    for (w, p), c in sorted(
-            s.terms.items(),
-            key=lambda kv: (kv[0][0].degree(), kv[0][1], kv[0][0].neg,
-                            kv[0][0].holes)):
-        terms.append({
-            "coeff": format_rational(c),
-            "wedge": wedge.serialize_basis(w),
-            "charge": p,
-        })
-    return {"terms": terms}
-
-
-def omega_from_json(data):
-    out = {}
-    for term in data["terms"]:
-        key = (wedge.parse_basis(term["wedge"]), int(term["charge"]))
-        accumulate(out, key, parse_rational(term["coeff"]))
-    return OmegaState(out)

@@ -112,6 +112,28 @@ class TestAct:
         assert code == 2
         assert "cannot read state" in err
 
+    @pytest.mark.parametrize("change", [
+        {"fock": "ab"}, {"fock": [1.5]}, {"coeff": "1/0"}, {"charge": 1.5},
+        {"charge": True}, {"wedge": {"neg": [3], "holes": []}},
+    ], ids=["fock-str", "fock-float", "coeff-zero-den", "charge-float",
+            "charge-bool", "wedge-int-label"])
+    def test_malformed_term_is_usage_error(self, capsys, tmp_path, change):
+        term = {**rep.state_to_json(rep.v0())["terms"][0], **change}
+        self._check_malformed(capsys, tmp_path, {"terms": [term]})
+
+    @pytest.mark.parametrize("data", [{"terms": 5}, [{"terms": []}]],
+                             ids=["terms-int", "top-level-list"])
+    def test_malformed_shape_is_usage_error(self, capsys, tmp_path, data):
+        self._check_malformed(capsys, tmp_path, data)
+
+    def _check_malformed(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "act", "--op", "X", "--m", "0",
+                             "--state", str(bad))
+        assert code == 2 and not out
+        assert "cannot read state" in err
+
     def test_missing_state_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "act", "--op", "d",
                          "--state", str(tmp_path / "nope.json"))
@@ -159,7 +181,6 @@ class TestConfig:
             max_twice_deg = None
             charge_bound = None
             wedge_deg_cap = None
-            jobs = None
 
         spec = build_spec("clifford", Args(), read_config(cfg))
         assert spec.mode_bound == 2
@@ -192,6 +213,15 @@ def test_verify_all_small(capsys, tmp_path):
     assert all(l["passed"] for l in lines)
     for l in lines:
         assert (tmp_path / "reports" / f"report_{l['suite']}.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--out", "--config"])
+def test_options_before_subcommand_are_usage_errors(capsys, tmp_path,
+                                                    option):
+    target = tmp_path / "target"
+    code, out, _ = run(capsys, option, str(target), "verify", "hwv")
+    assert code == 2 and not out
+    assert not target.exists()
 
 
 def test_bad_flag_returns_usage_code(capsys):

@@ -95,7 +95,6 @@ class TestExponentialCoefficients:
 
 def test_monomial_canonical_form():
     assert monomial(1, 3, 1) == (3, 1, 1)
-    assert fock.serialize_monomial(monomial(1, 3, 1)) == [3, 1, 1]
     assert fock.parse_monomial([3, 1, 1]) == (3, 1, 1)
     with pytest.raises(ValueError):
         monomial(0)

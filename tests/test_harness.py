@@ -3,19 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from sl2crit import harness
+from sl2crit import fock, harness, rep
 from sl2crit.harness import (CheckSpec, ChargeCutoffLeak, character,
                              character_csv, character_matches,
                              d_homogeneity_probe, state_basis,
-                             strict_partitions, verify_clifford,
+                             verify_clifford,
                              verify_current_relations, verify_e_identities,
                              verify_hwv, verify_z_suite, wedge_bases_of_degree)
 
 
 class TestEnumeration:
     def test_strict_partitions(self):
-        assert strict_partitions(0) == ((),)
-        assert set(strict_partitions(5)) == {(5,), (4, 1), (3, 2)}
+        assert fock._partitions(0, distinct=True) == ((),)
+        assert set(fock._partitions(5, distinct=True)) \
+            == {(5,), (4, 1), (3, 2)}
 
     def test_wedge_degree_counts(self):
         assert [len(wedge_bases_of_degree(k)) for k in range(6)] \
@@ -127,6 +128,9 @@ class TestProbe:
 
 def test_failure_is_recorded_not_swallowed():
     r = harness.Report("demo", {})
-    r.record("identity", [1], "basis", "residual")
-    assert not r.passed
-    assert r.to_json()["failures"][0]["identity"] == "identity"
+    r.check("identity", [1], "basis", rep.v0())
+    r.check("identity", [2], "basis", rep.State.zero())
+    assert not r.passed and r.checks_run == 2
+    failure, = r.to_json()["failures"]
+    assert failure["identity"] == "identity"
+    assert failure["residual"] == rep.state_to_json(rep.v0())

@@ -10,9 +10,9 @@ import pytest
 
 from sl2crit import fock, rep, wedge
 from sl2crit.fock import FockElement
-from sl2crit.rep import (NotAWeightVector, State, basis_state, c_act,
-                         chevalley_act, d_act, h_act_full, v0, v1, weight_of,
-                         x_act, y_act)
+from sl2crit.rep import (NotAWeightVector, State, alpha0_eig, basis_state,
+                         c_act, chevalley_act, d_act, h_act_full,
+                         lattice_d_eig, v0, v1, weight_of, x_act, y_act)
 from sl2crit.scalars import half
 
 N_TRUNC = 8
@@ -211,3 +211,27 @@ def test_state_serialization_round_trip():
 def test_unknown_generator():
     with pytest.raises(ValueError):
         chevalley_act("e2", v0())
+
+
+def test_alpha0_eig():
+    assert alpha0_eig(0) == 0
+    assert alpha0_eig(1) == 2
+    assert alpha0_eig(-1) == -2
+
+
+def test_alpha0_additive_under_charge_shift():
+    # Multiplying by e^{b*alpha} shifts the charge p to p + b.
+    for p in range(-4, 5):
+        for b in range(-3, 4):
+            assert alpha0_eig(p + b) == alpha0_eig(p) + 2 * b
+
+
+def test_d_eigenvalue():
+    assert lattice_d_eig(0) == 0
+    assert lattice_d_eig(-1) == Fraction(-1, 2)
+    assert lattice_d_eig(2) == -2
+
+
+def test_d_charge_symmetric():
+    for p in range(7):
+        assert lattice_d_eig(p) == lattice_d_eig(-p)

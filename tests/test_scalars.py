@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl2crit.scalars import (HalfInt, binom_series_coeff, contraction_coeff,
-                             format_rational, half, parse_rational)
+                             format_rational, half)
 
 
 def mul_series(a, b, order):
@@ -106,4 +106,3 @@ class TestHalfInt:
 def test_rational_serialization():
     assert format_rational(Fraction(-3, 4)) == "-3/4"
     assert format_rational(Fraction(5)) == "5"
-    assert parse_rational("-3/4") == Fraction(-3, 4)

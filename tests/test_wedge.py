@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sl2crit import wedge
 from sl2crit.scalars import half
 from sl2crit.wedge import (VACUUM, WedgeBasis, WedgeElement, a_act, astar_act,
-                           contraction_check, normal_ordered_pair, wedge_deg)
+                           contraction_check, normal_ordered_pair)
 from sl2crit.scalars import contraction_coeff
 
 TAIL = 41  # doubled cutoff for explicit words; beyond it nothing is touched
@@ -75,14 +75,14 @@ def small_bases(maxdeg):
 
 class TestDegree:
     def test_vacuum(self):
-        assert wedge_deg(VACUUM) == 0
+        assert VACUUM.degree() == 0
 
     def test_worked_example_twenty(self):
         w = WedgeBasis((-11, -5, -3), (5, 9, 13))
-        assert wedge_deg(w) == 20
+        assert w.degree() == 20
 
     def test_single_negative(self):
-        assert wedge_deg(WedgeBasis((-3,), ())) == 1
+        assert WedgeBasis((-3,), ()).degree() == 1
 
 
 class TestOscillatorActions:

@@ -124,4 +124,5 @@ class TestVacuumSpaceMaps:
 
 def test_omega_serialization_round_trip():
     s = omega_basis(wedge.WedgeBasis((-3,), (5,)), -2, Fraction(-1, 4))
-    assert zalg.omega_from_json(zalg.omega_to_json(s)) == s
+    assert rep.state_from_json(rep.state_to_json(s), OmegaState) == s
+    assert "fock" not in rep.state_to_json(s)["terms"][0]
