@@ -38,13 +38,15 @@ def main():
             assert got == s.scale(2 * p - 2 * m), (p, m)
     print("[Z+(m), Z-(-m)]-type commutator acts by 2p - 2m")
 
-    # Same-sign generalized commutators vanish; the infinite sum is
-    # truncated at a certified termination bound.
+    # Same-sign generalized commutators vanish; the infinite sum ends at
+    # an exact bound, past which every term applies a mode beyond the
+    # outermost hole or extra negative factor of the wedge.
     for m in (-2, 0, 3):
         for n in (-1, 2):
             assert zalg.gen_commutator("+", "+", m, n, vac).is_zero()
             assert zalg.gen_commutator("-", "-", m, n, vac).is_zero()
-    print("same-sign generalized commutators vanish (termination certified)")
+    print("same-sign generalized commutators vanish (series ends at the "
+          "wedge reach)")
 
     # The dressed modes commute with the Heisenberg annihilators, so
     # they genuinely preserve the vacuum space.

@@ -15,9 +15,9 @@ from .wedge import (VACUUM, WedgeBasis, WedgeElement, a_act, astar_act,
 from .rep import (NotAWeightVector, State, WeightTriple, alpha0_eig,
                   basis_state, c_act, chevalley_act, d_act, h_act_full,
                   lattice_d_eig, v0, v1, weight_of, x_act, y_act)
-from .zalg import (NoTerminationBound, NotInVacuumSpace, OmegaState,
-                   gen_commutator, omega_basis, omega_embed, omega_project,
-                   zminus_act, zop_via_definition, zplus_act)
+from .zalg import (NotInVacuumSpace, OmegaState, gen_commutator,
+                   omega_basis, omega_embed, omega_project, zminus_act,
+                   zop_via_definition, zplus_act)
 from .harness import CheckSpec, Report, character, d_homogeneity_probe
 
 __version__ = "0.1.0"
@@ -30,8 +30,8 @@ __all__ = [
     "State", "WeightTriple", "NotAWeightVector", "basis_state", "v0", "v1",
     "x_act", "y_act", "h_act_full", "c_act", "d_act", "chevalley_act",
     "weight_of",
-    "OmegaState", "NotInVacuumSpace", "NoTerminationBound", "omega_basis",
-    "omega_embed", "omega_project", "zplus_act", "zminus_act",
-    "gen_commutator", "zop_via_definition",
+    "OmegaState", "NotInVacuumSpace", "omega_basis", "omega_embed",
+    "omega_project", "zplus_act", "zminus_act", "gen_commutator",
+    "zop_via_definition",
     "CheckSpec", "Report", "character", "d_homogeneity_probe",
 ]

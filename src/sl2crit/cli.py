@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 nonzero residual / mismatch, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from . import harness, rep, zalg
 from .harness import ALL_SUITES, CheckSpec
 
 SUITE_DEFAULTS = {
+    "character": CheckSpec(max_twice_deg=12),
     "clifford": CheckSpec(mode_bound=5, wedge_deg_cap=8),
     "current": CheckSpec(mode_bound=4, max_twice_deg=10, charge_bound=2),
     "exp": CheckSpec(mode_bound=6, max_twice_deg=12),
@@ -23,12 +25,26 @@ SUITE_DEFAULTS = {
     "probe-d": CheckSpec(mode_bound=2, max_twice_deg=6, charge_bound=2),
 }
 
-MODED_OPS = {"X", "Y", "H", "Z+", "Z-"}
-UNMODED_OPS = {"d", "c", "e0", "e1", "f0", "f1", "h0", "h1"}
+# Operator name -> (takes --m, action on (m, state)).  The actions look
+# the library functions up when called.
+OPS = {
+    "X": (True, lambda m, s: rep.x_act(m, s)),
+    "Y": (True, lambda m, s: rep.y_act(m, s)),
+    "H": (True, lambda m, s: rep.h_act_full(m, s)),
+    "Z+": (True, lambda m, s: zalg.zop_via_definition("+", m, s)),
+    "Z-": (True, lambda m, s: zalg.zop_via_definition("-", m, s)),
+    "d": (False, lambda m, s: rep.d_act(s)),
+    "c": (False, lambda m, s: rep.c_act(s)),
+    **{g: (False, lambda m, s, g=g: rep.chevalley_act(g, s))
+       for g in ("e0", "e1", "f0", "f1", "h0", "h1")},
+}
+
+SPEC_KEYS = [f.name for f in dataclasses.fields(CheckSpec)]
 
 
 def read_config(path):
-    """Simple key=value config; '#' starts a comment."""
+    """Simple key=value config; '#' starts a comment.  Keys are CheckSpec
+    fields."""
     out = {}
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
@@ -36,29 +52,31 @@ def read_config(path):
             continue
         if "=" not in line:
             raise ValueError(f"bad config line: {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in SPEC_KEYS:
+            raise ValueError(f"unknown config key {key!r}; expected one of "
+                             f"{', '.join(SPEC_KEYS)}")
+        out[key] = value
     return out
 
 
 def build_spec(suite, args, config):
-    base = SUITE_DEFAULTS.get(suite, CheckSpec())
-    fields = {
-        "mode_bound": base.mode_bound,
-        "max_twice_deg": base.max_twice_deg,
-        "charge_bound": base.charge_bound,
-        "wedge_deg_cap": base.wedge_deg_cap,
-    }
-    for key in fields:
+    """The suite's default window, overridden by the config, overridden by
+    the command line."""
+    changes = {}
+    for key in SPEC_KEYS:
         if key in config:
-            fields[key] = int(config[key])
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            fields[key] = cli_val
-    return CheckSpec(**fields)
+            changes[key] = int(config[key])
+        if getattr(args, key, None) is not None:
+            changes[key] = getattr(args, key)
+    return dataclasses.replace(SUITE_DEFAULTS.get(suite, CheckSpec()),
+                               **changes)
 
 
 def write_artifact(outdir, name, text):
+    """Write `name` under `outdir`; nothing when no --out was given."""
+    if not outdir:
+        return
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / name).write_text(text)
@@ -74,8 +92,7 @@ def cmd_verify(args, config):
         spec = build_spec(name, args, config)
         report = ALL_SUITES[name](spec)
         payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
-        if args.out:
-            write_artifact(args.out, f"report_{name}.json", payload)
+        write_artifact(args.out, f"report_{name}.json", payload)
         print(json.dumps({"suite": name, "passed": report.passed,
                           "checks_run": report.checks_run,
                           "failures": len(report.failures)}))
@@ -84,55 +101,35 @@ def cmd_verify(args, config):
 
 
 def cmd_character(args, config):
-    maxtd = args.max_twice_deg
-    if maxtd is None:
-        maxtd = int(config.get("max_twice_deg", 12))
-    table = harness.character(maxtd)
+    table = harness.character(build_spec("character", args, config)
+                              .max_twice_deg)
     ok = harness.character_matches(table)
     if args.format == "csv":
         text = harness.character_csv(table, "V")
         text_omega = harness.character_csv(table, "Omega")
-        if args.out:
-            write_artifact(args.out, "character_V.csv", text)
-            write_artifact(args.out, "character_Omega.csv", text_omega)
+        write_artifact(args.out, "character_V.csv", text)
+        write_artifact(args.out, "character_Omega.csv", text_omega)
         print(text, end="")
     else:
         payload = json.dumps({**table, "matches": ok}, indent=2)
-        if args.out:
-            write_artifact(args.out, "character.json", payload)
+        write_artifact(args.out, "character.json", payload)
         print(payload)
     return 0 if ok else 1
 
 
 def cmd_act(args, config):
+    moded, action = OPS[args.op]
+    if moded != (args.m is not None):
+        need = "requires" if moded else "takes no"
+        print(f"operator {args.op} {need} --m", file=sys.stderr)
+        return 2
     try:
         state = rep.state_from_json(json.loads(Path(args.state).read_text()))
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot read state: {exc}", file=sys.stderr)
         return 2
-    op = args.op
-    if op in MODED_OPS and args.m is None:
-        print(f"operator {op} requires --m", file=sys.stderr)
-        return 2
-    if op == "X":
-        result = rep.x_act(args.m, state)
-    elif op == "Y":
-        result = rep.y_act(args.m, state)
-    elif op == "H":
-        result = rep.h_act_full(args.m, state)
-    elif op == "Z+":
-        result = zalg.zop_via_definition("+", args.m, state)
-    elif op == "Z-":
-        result = zalg.zop_via_definition("-", args.m, state)
-    elif op == "d":
-        result = rep.d_act(state)
-    elif op == "c":
-        result = rep.c_act(state)
-    else:
-        result = rep.chevalley_act(op, state)
-    payload = json.dumps(rep.state_to_json(result), indent=2)
-    if args.out:
-        write_artifact(args.out, "act_result.json", payload)
+    payload = json.dumps(rep.state_to_json(action(args.m, state)), indent=2)
+    write_artifact(args.out, "act_result.json", payload)
     print(payload)
     return 0
 
@@ -141,8 +138,7 @@ def cmd_probe_d(args, config):
     spec = build_spec("probe-d", args, config)
     report = harness.d_homogeneity_probe(spec)
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    if args.out:
-        write_artifact(args.out, "report_probe_d.json", payload)
+    write_artifact(args.out, "report_probe_d.json", payload)
     print(payload)
     return 0
 
@@ -151,6 +147,10 @@ def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--out", help="directory for report artifacts")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--mode-bound", dest="mode_bound", type=int)
+    window.add_argument("--max-twice-deg", dest="max_twice_deg", type=int)
+    window.add_argument("--charge-bound", dest="charge_bound", type=int)
     parser = argparse.ArgumentParser(
         prog="sl2crit",
         description="Exact verification of the level -2 boson-parafermion "
@@ -158,35 +158,37 @@ def make_parser():
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("verify", help="run a verification suite",
-                       parents=[common])
+                       parents=[common, window])
     p.add_argument("suite", help="clifford | current | exp | hwv | zalg | all")
-    p.add_argument("--mode-bound", dest="mode_bound", type=int)
-    p.add_argument("--max-twice-deg", dest="max_twice_deg", type=int)
-    p.add_argument("--charge-bound", dest="charge_bound", type=int)
     p.add_argument("--max-wedge-deg", dest="wedge_deg_cap", type=int)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("character", help="graded dimension census",
                        parents=[common])
     p.add_argument("--max-twice-deg", dest="max_twice_deg", type=int)
     p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(run=cmd_character)
 
     p = sub.add_parser("act", help="apply one operator to a state file",
                        parents=[common])
-    p.add_argument("--op", required=True,
-                   choices=sorted(MODED_OPS | UNMODED_OPS))
+    p.add_argument("--op", required=True, choices=sorted(OPS))
     p.add_argument("--m", type=int)
     p.add_argument("--state", required=True, help="state JSON file")
+    p.set_defaults(run=cmd_act)
 
     p = sub.add_parser("probe-d", help="degree-homogeneity diagnostic",
-                       parents=[common])
-    p.add_argument("--mode-bound", dest="mode_bound", type=int)
-    p.add_argument("--max-twice-deg", dest="max_twice_deg", type=int)
-    p.add_argument("--charge-bound", dest="charge_bound", type=int)
-
+                       parents=[common, window])
+    p.set_defaults(run=cmd_probe_d)
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    option = argv[0].split("=", 1)[0] if argv else None
+    if option in ("--out", "--config"):
+        print(f"sl2crit: {option} goes after the subcommand, as in "
+              f"'sl2crit verify hwv {option} ...'", file=sys.stderr)
+        return 2
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
@@ -202,14 +204,8 @@ def main(argv=None):
         except (OSError, ValueError) as exc:
             print(f"bad config: {exc}", file=sys.stderr)
             return 2
-    handlers = {
-        "verify": cmd_verify,
-        "character": cmd_character,
-        "act": cmd_act,
-        "probe-d": cmd_probe_d,
-    }
     try:
-        return handlers[args.command](args, config)
+        return args.run(args, config)
     except (ValueError, harness.ChargeCutoffLeak) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from math import isqrt
 from . import fock, rep, wedge, zalg
 from .fock import e_coeff
 from .linear import accumulate
-from .scalars import HalfInt, binom_series_coeff
+from .scalars import HalfInt, binom_series_coeff, contraction_coeff
 
 CONVENTION_NOTES = [
     "vacuum-space wedge labels: the construction uses the space whose "
@@ -154,24 +154,22 @@ def verify_clifford(spec):
     bases = wedge_bases_up_to(spec.wedge_deg_cap)
     tmax = 2 * spec.mode_bound + 1
     modes = [HalfInt(t) for t in range(-tmax, tmax + 1, 2)]
+    pairs = [("anticommutator_A_Astar", "A", "A*"),
+             ("anticommutator_A_A", "A", "A"),
+             ("anticommutator_Astar_Astar", "A*", "A*")]
     for w in bases:
         v = wedge.WedgeElement.basis(w)
         for m in modes:
             for n in modes:
-                lhs = (wedge.apply_mode("A", m, wedge.astar_act(n, w))
-                       + wedge.apply_mode("A*", n, wedge.a_act(m, w)))
-                expected = v.scale(-(m.as_fraction() ** 2 - Fraction(1, 4))) \
-                    if m.twice + n.twice == 0 else wedge.WedgeElement.zero()
-                report.check("anticommutator_A_Astar", [str(m), str(n)],
-                             _basis_label(w), lhs - expected)
-                aa = (wedge.apply_mode("A", m, wedge.a_act(n, w))
-                      + wedge.apply_mode("A", n, wedge.a_act(m, w)))
-                report.check("anticommutator_A_A", [str(m), str(n)],
-                             _basis_label(w), aa)
-                ss = (wedge.apply_mode("A*", m, wedge.astar_act(n, w))
-                      + wedge.apply_mode("A*", n, wedge.astar_act(m, w)))
-                report.check("anticommutator_Astar_Astar", [str(m), str(n)],
-                             _basis_label(w), ss)
+                for identity, a, b in pairs:
+                    # {a(m), b(n)} is the pairing scalar for A, A*, else 0.
+                    pairing = (contraction_coeff(m, n)
+                               + contraction_coeff(n, m)) if a != b else 0
+                    res = (wedge.apply_mode(a, m, wedge._ACTIONS[b](n, w))
+                           + wedge.apply_mode(b, n, wedge._ACTIONS[a](m, w))
+                           - v.scale(pairing))
+                    report.check(identity, [str(m), str(n)],
+                                 _basis_label(w), res)
     return report.finalize()
 
 
@@ -181,19 +179,18 @@ def verify_current_relations(spec):
                                 "max_twice_deg": spec.max_twice_deg,
                                 "charge_bound": spec.charge_bound})
     M = spec.mode_bound
+    fields = [("bracket_H_X", rep.x_act, 1), ("bracket_H_Y", rep.y_act, -1)]
     for key in state_basis(spec.max_twice_deg, spec.charge_bound):
         s = rep.State.basis(key)
         label = _basis_label(key)
         for m in range(-M, M + 1):
             for n in range(-M, M + 1):
-                hx = (rep.h_act_full(m, rep.x_act(n, s))
-                      - rep.x_act(n, rep.h_act_full(m, s))
-                      - rep.x_act(m + n, s).scale(2))
-                report.check("bracket_H_X", [m, n], label, hx)
-                hy = (rep.h_act_full(m, rep.y_act(n, s))
-                      - rep.y_act(n, rep.h_act_full(m, s))
-                      + rep.y_act(m + n, s).scale(2))
-                report.check("bracket_H_Y", [m, n], label, hy)
+                # [H(m), F(n)] = +-2 F(m+n) for the charge +-1 fields.
+                for identity, field, charge in fields:
+                    res = (rep.h_act_full(m, field(n, s))
+                           - field(n, rep.h_act_full(m, s))
+                           - field(m + n, s).scale(2 * charge))
+                    report.check(identity, [m, n], label, res)
                 xy = (rep.x_act(m, rep.y_act(n, s))
                       - rep.y_act(n, rep.x_act(m, s))
                       - rep.h_act_full(m + n, s))
@@ -229,27 +226,22 @@ def verify_e_identities(spec):
                 report.check("unit_product", [sub, j], label,
                              total - (v if j == 0
                                       else fock.FockElement.zero()))
-        for sup in "+-":
-            # E^s_-(z) E^s_+(w) = E^s_+(w) E^s_-(z) (1 - w/z)^{-1}.
+        # E^{s1}_-(z) E^{s2}_+(w) = E^{s2}_+(w) E^{s1}_-(z) (1 - w/z)^e, with
+        # e = -1 for equal superscripts and e = +1 (two terms) for (+, -).
+        for identity, s1, s2, e, prefix in [
+                ("swap_minus_plus_same_sup", "+", "+", -1, ["+"]),
+                ("swap_minus_plus_same_sup", "-", "-", -1, ["-"]),
+                ("swap_mixed_sup", "+", "-", 1, [])]:
             for a in range(K + 1):
                 for b in range(K + 1):
-                    lhs = e_coeff(sup, "-", -a, e_coeff(sup, "+", b, v))
-                    rhs = sum((e_coeff(sup, "+", b - k,
-                                  e_coeff(sup, "-", -(a - k), v))
-                               for k in range(min(a, b) + 1)),
+                    lhs = e_coeff(s1, "-", -a, e_coeff(s2, "+", b, v))
+                    kmax = min(a, b) if e < 0 else min(a, b, 1)
+                    rhs = sum((e_coeff(s2, "+", b - k,
+                                       e_coeff(s1, "-", -(a - k), v)).scale(
+                                           binom_series_coeff(e, k))
+                               for k in range(kmax + 1)),
                               fock.FockElement.zero())
-                    report.check("swap_minus_plus_same_sup", [sup, a, b],
-                                 label, lhs - rhs)
-        # E^+_-(z) E^-_+(w) = E^-_+(w) E^+_-(z) (1 - w/z).
-        for a in range(K + 1):
-            for b in range(K + 1):
-                lhs = e_coeff("+", "-", -a, e_coeff("-", "+", b, v))
-                rhs = sum((e_coeff("-", "+", b - k,
-                              e_coeff("+", "-", -(a - k), v)).scale(
-                                  binom_series_coeff(1, k))
-                           for k in range(min(a, b, 1) + 1)),
-                          fock.FockElement.zero())
-                report.check("swap_mixed_sup", [a, b], label, lhs - rhs)
+                    report.check(identity, prefix + [a, b], label, lhs - rhs)
         # Commuting pairs with equal subscripts.
         for s1, s2 in [("+", "+"), ("-", "+"), ("-", "-")]:
             for a in range(K + 1):
@@ -359,16 +351,13 @@ def verify_z_suite(spec):
             emb = zalg.omega_embed(s)
             label = _basis_label((w, p))
             for m in range(-M, M + 1):
-                for sg, closed in [("+", zalg.zplus_act),
-                                   ("-", zalg.zminus_act)]:
+                for sg in "+-":
+                    z = zalg.zop_via_definition(sg, m, emb)
                     report.check("definition_vs_closed_form", [sg, m], label,
-                                 zalg.zop_via_definition(sg, m, emb)
-                                 - zalg.omega_embed(closed(m, s)))
-                for n in range(1, 4):
-                    for sg in "+-":
+                                 z - zalg.omega_embed(zalg._z_act(sg, m, s)))
+                    for n in range(1, 4):
                         report.check("H_commutes_with_Z", [sg, m, n], label,
-                                     rep.h_act_full(n, zalg.zop_via_definition(
-                                         sg, m, emb))
+                                     rep.h_act_full(n, z)
                                      - zalg.zop_via_definition(
                                          sg, m, rep.h_act_full(n, emb)))
     return report.finalize()

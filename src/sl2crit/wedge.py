@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linear import LinearCombination
-from .scalars import HalfInt, contraction_coeff
+from .scalars import HalfInt
 
 
 @dataclass(frozen=True)
@@ -83,46 +83,35 @@ class WedgeElement(LinearCombination):
     """Finite rational combination of wedge basis vectors."""
 
 
-def a_act(m, w):
-    """Oscillator A(m): (m - 1/2) u_m ^ w, reordered into canonical form."""
+def _oscillator(m, r, occupied, w):
+    """(m - 1/2) times the flip of the factor u_r (doubled index r) of w,
+    reordered into canonical form: a removal when `occupied`, an insertion
+    otherwise; zero unless u_r is present exactly when `occupied`."""
     t = m.twice
     if t % 2 == 0:
         raise ValueError("mode must lie in Z+1/2")
-    if t == 1:
+    if t == 1 or w.supports(r) != occupied:
         return WedgeElement.zero()
-    if w.supports(t):
-        return WedgeElement.zero()
-    if t > 1 and t not in w.holes:
-        return WedgeElement.zero()
-    scalar = Fraction(t - 1, 2)
-    sign = -1 if w.support_below(t) % 2 else 1
-    if t < -1:
-        new = WedgeBasis(tuple(sorted(w.neg + (t,))), w.holes)
+    sign = -1 if w.support_below(r) % 2 else 1
+    if r < -1:
+        new = WedgeBasis(tuple(sorted(set(w.neg) ^ {r})), w.holes)
     else:
-        new = WedgeBasis(w.neg, tuple(s for s in w.holes if s != t))
-    return WedgeElement.basis(new, sign * scalar)
+        new = WedgeBasis(w.neg, tuple(sorted(set(w.holes) ^ {r})))
+    return WedgeElement.basis(new, sign * Fraction(t - 1, 2))
+
+
+def a_act(m, w):
+    """Oscillator A(m): (m - 1/2) u_m ^ w, reordered into canonical form."""
+    return _oscillator(m, m.twice, False, w)
 
 
 def astar_act(m, w):
     """Oscillator A*(m): (m - 1/2) times removal of the factor u_{-m}."""
-    t = m.twice
-    if t % 2 == 0:
-        raise ValueError("mode must lie in Z+1/2")
-    if t == 1:
-        return WedgeElement.zero()
-    r = -t  # index being removed
-    if not w.supports(r):
-        return WedgeElement.zero()
-    scalar = Fraction(t - 1, 2)
-    sign = -1 if w.support_below(r) % 2 else 1
-    if r < -1:
-        new = WedgeBasis(tuple(s for s in w.neg if s != r), w.holes)
-    else:
-        new = WedgeBasis(w.neg, tuple(sorted(w.holes + (r,))))
-    return WedgeElement.basis(new, sign * scalar)
+    return _oscillator(m, -m.twice, True, w)
 
 
-_ACTIONS = {"A": a_act, "A*": astar_act}
+# Kind -> basis action, looked up when called.
+_ACTIONS = {"A": lambda m, w: a_act(m, w), "A*": lambda m, w: astar_act(m, w)}
 
 
 def apply_mode(kind, m, elem):

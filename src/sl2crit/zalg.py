@@ -22,11 +22,6 @@ class NotInVacuumSpace(ValueError):
     """Raised when projecting a state with a nontrivial Fock factor."""
 
 
-class NoTerminationBound(RuntimeError):
-    """The certified bound for an infinite generalized-commutator sum
-    failed; indicates an implementation bug."""
-
-
 def omega_basis(wedgebasis=wedge.VACUUM, charge=0, coeff=1):
     return OmegaState.basis((wedgebasis, charge), coeff)
 
@@ -47,45 +42,50 @@ def omega_project(s):
     return OmegaState(out)
 
 
-def zplus_act(m, s):
-    """Component m of the raising Z-operator: one oscillator mode per
-    charge sector, charge up by one."""
+def _z_act(sign, m, s):
+    """Component m of Z^sign on the vacuum space: per charge sector p one
+    oscillator mode, A(m - p - 1/2) for '+' and A*(m + p - 1/2) for '-',
+    with the charge shifted by one in the direction of the sign."""
+    act = wedge.a_act if sign == "+" else wedge.astar_act
+    step = 1 if sign == "+" else -1
+
     def on_basis(key):
         w, p = key
-        welem = wedge.a_act(HalfInt(2 * (m - p) - 1), w)
-        return [((w2, p + 1), c) for w2, c in welem]
+        welem = act(HalfInt(2 * (m - step * p) - 1), w)
+        return [((w2, p + step), c) for w2, c in welem]
     return s.map_basis(on_basis)
+
+
+def zplus_act(m, s):
+    """Component m of the raising Z-operator, charge up by one."""
+    return _z_act("+", m, s)
 
 
 def zminus_act(m, s):
     """Component m of the lowering Z-operator, charge down by one."""
-    def on_basis(key):
-        w, p = key
-        welem = wedge.astar_act(HalfInt(2 * (m + p) - 1), w)
-        return [((w2, p - 1), c) for w2, c in welem]
-    return s.map_basis(on_basis)
-
-
-_Z_ACT = {"+": zplus_act, "-": zminus_act}
+    return _z_act("-", m, s)
 
 
 def _pair_term(s1, s2, j1, j2, s):
     """Z^{s1}(j1) Z^{s2}(j2) applied to s."""
-    return _Z_ACT[s1](j1, _Z_ACT[s2](j2, s))
+    return _z_act(s1, j1, _z_act(s2, j2, s))
 
 
-def _termination_bound(m, n, s):
-    """Certified cutoff for the e = -1 sums: beyond it the double action
-    falls off the finite perturbation of every term."""
-    extent = 0
-    maxp = 0
-    for (w, p), _ in s:
-        if w.holes:
-            extent = max(extent, (w.holes[-1] + 1) // 2)
-        if w.neg:
-            extent = max(extent, (-w.neg[0] + 1) // 2)
-        maxp = max(maxp, abs(p))
-    return extent + abs(m) + abs(n) + 2 * maxp + 4
+def _reach(sign, w, p):
+    """Bound on the modes of Z^sign that act on (w, p): Z^sign(j) is zero
+    for every j above it.
+
+    Z^+(j) inserts u_t, t = 2(j - p) - 1, which must be absent: a hole,
+    or t <= -3 (at t = 1 the scalar t/2 - 1/2 vanishes).  Z^-(j) removes
+    u_r, r = 1 - 2(j + p), which must be present: an extra negative
+    factor, or r >= 3 (at r = -1 the scalar vanishes).  So the largest
+    mode that can act comes from the outermost hole (for '+') or the
+    outermost extra negative factor (for '-'), or from t = -3 or r = 3
+    when there is none.
+    """
+    if sign == "+":
+        return max([(t + 1) // 2 for t in w.holes], default=-1) + p
+    return max([(1 - t) // 2 for t in w.neg], default=-1) - p
 
 
 def gen_commutator(s1, s2, m, n, s):
@@ -93,33 +93,26 @@ def gen_commutator(s1, s2, m, n, s):
     Z^{s1}(z) and Z^{s2}(w), applied to a vacuum-space state.
 
     The binomial weights come from the expansion exponent
-    (phi1, phi2)/(-2), which is +1 for opposite signs (finite sum) and -1
-    for equal signs (infinite series, terminating on any fixed state with
-    a certified bound).
+    (phi1, phi2)/(-2), which is +1 for opposite signs (a finite sum over
+    k = 0, 1) and -1 for equal signs (an infinite series over k >= 0).
+    The series ends at an exact bound: term k applies Z^{s1}(n + k) or
+    Z^{s1}(m + k) to s first, and both vanish on every term (w, p) of s
+    once n + k and m + k exceed _reach(s1, w, p), that is for
+    k > max over the terms of _reach(s1, w, p) - min(m, n).
     """
     if s1 not in "+-" or s2 not in "+-":
         raise ValueError("signs must be '+' or '-'")
     e = 1 if s1 != s2 else -1
-
-    def term(k):
+    kmax = 1 if e == 1 else max((_reach(s1, w, p) for (w, p), _ in s),
+                                default=-1) - min(m, n)
+    total = OmegaState.zero()
+    for k in range(kmax + 1):
         # (1 - w/z)^e contributes (w/z)^k with weight binom_series_coeff(e, k),
         # shifting the z-component down and the w-component up by k; the
         # swapped product expands in z/w and shifts the other way.
-        c = binom_series_coeff(e, k)
-        return (_pair_term(s1, s2, m - k, n + k, s)
-                - _pair_term(s2, s1, n - k, m + k, s)).scale(c)
-
-    if e == 1:
-        return term(0) + term(1)
-
-    kmax = _termination_bound(m, n, s)
-    total = OmegaState.zero()
-    for k in range(kmax + 1):
-        total = total + term(k)
-    for k in range(kmax + 1, kmax + 4):
-        if term(k):
-            raise NoTerminationBound(
-                f"term k={k} nonzero beyond certified bound {kmax}")
+        total = total + (_pair_term(s1, s2, m - k, n + k, s)
+                         - _pair_term(s2, s1, n - k, m + k, s)).scale(
+                             binom_series_coeff(e, k))
     return total
 
 
@@ -134,18 +127,8 @@ def _e_coeff_state(sup, sub, k, s):
 
 
 def _mode_cap(sgn, s):
-    """Largest field mode with a nonzero action on any term of s."""
-    cap = None
-    for (mono, w, p), _ in s:
-        fdeg = sum(mono)
-        if sgn == "+":
-            reach = max([(t + 1) // 2 for t in w.holes], default=-1)
-            j = fdeg + p + reach
-        else:
-            reach = max([(-t + 1) // 2 for t in w.neg], default=-1)
-            j = fdeg - p + reach
-        cap = j if cap is None else max(cap, j)
-    return cap
+    """Bound on the field modes with a nonzero action on some term of s."""
+    return max(sum(mono) + _reach(sgn, w, p) for (mono, w, p), _ in s)
 
 
 def zop_via_definition(sgn, m, s):
@@ -163,8 +146,6 @@ def zop_via_definition(sgn, m, s):
         if not inner:
             continue
         cap = _mode_cap(sgn, inner)
-        if cap is None:
-            continue
         # z-balance: a - b - j = -m for the field component j = m + a - b;
         # components above `cap` annihilate every term of `inner`.
         for a in range(0, cap - m + b + 1):

@@ -105,6 +105,13 @@ class TestAct:
         assert code == 2
         assert "requires --m" in err
 
+    def test_unmoded_with_mode(self, capsys, tmp_path):
+        path = self._write_state(tmp_path, rep.v0())
+        code, out, err = run(capsys, "act", "--op", "d", "--m", "5",
+                             "--state", path)
+        assert code == 2 and not out
+        assert "takes no --m" in err
+
     def test_bad_state_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -193,6 +200,13 @@ class TestConfig:
         assert code == 0
         assert json.loads(out.strip())["passed"]
 
+    def test_unknown_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("mode_bond = 1\n")
+        code, out, err = run(capsys, "verify", "hwv", "--config", str(cfg))
+        assert code == 2 and not out
+        assert "bad config" in err and "mode_bond" in err
+
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "hwv",
                            "--config", str(tmp_path / "nope"))
@@ -219,9 +233,10 @@ def test_verify_all_small(capsys, tmp_path):
 def test_options_before_subcommand_are_usage_errors(capsys, tmp_path,
                                                     option):
     target = tmp_path / "target"
-    code, out, _ = run(capsys, option, str(target), "verify", "hwv")
+    code, out, err = run(capsys, option, str(target), "verify", "hwv")
     assert code == 2 and not out
     assert not target.exists()
+    assert f"{option} goes after the subcommand" in err
 
 
 def test_bad_flag_returns_usage_code(capsys):

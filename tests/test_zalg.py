@@ -76,6 +76,48 @@ class TestGeneralizedCommutators:
             gen_commutator("+", "x", 0, 0, omega_basis())
 
 
+class TestExactTermination:
+    """A same-sign series ends at k = max _reach - min(m, n): every later
+    term applies a mode above the reach first."""
+
+    @staticmethod
+    def tail_is_zero(sg, m, n, s, kmax):
+        return not any(zalg._pair_term(sg, sg, m - k, n + k, s)
+                       or zalg._pair_term(sg, sg, n - k, m + k, s)
+                       for k in range(kmax + 1, kmax + 9))
+
+    def test_terms_past_the_bound_vanish_on_window(self):
+        cases = 0
+        for w in wedge_bases_up_to(4):
+            for p in range(-2, 3):
+                s = omega_basis(w, p)
+                for sg in "+-":
+                    kmax0 = zalg._reach(sg, w, p)
+                    for m in range(-3, 4):
+                        for n in range(-3, 4):
+                            assert self.tail_is_zero(
+                                sg, m, n, s, kmax0 - min(m, n)), \
+                                (sg, w, p, m, n)
+                            cases += 1
+        assert cases == 10290
+
+    def test_multi_term_state_bound_is_the_largest_reach(self):
+        terms = [omega_basis(wedge.WedgeBasis((), (9,)), 1),
+                 omega_basis(wedge.WedgeBasis((-7, -3), ()), -1, 2),
+                 omega_basis(wedge.VACUUM, 0, -1)]
+        s = sum(terms, OmegaState.zero())
+        for sg, want in [("+", [6, -2, -1]), ("-", [-2, 5, -1])]:
+            reaches = [zalg._reach(sg, w, p) for t in terms for (w, p), _ in t]
+            assert reaches == want
+            for m in range(-3, 4):
+                for n in range(-3, 4):
+                    kmax = max(reaches) - min(m, n)
+                    assert self.tail_is_zero(sg, m, n, s, kmax)
+                    # The last term kept is not zero: the bound is attained.
+                    assert (zalg._pair_term(sg, sg, m - kmax, n + kmax, s)
+                            or zalg._pair_term(sg, sg, n - kmax, m + kmax, s))
+
+
 class TestDefinitionEquivalence:
     def test_matches_closed_form_on_window(self):
         for w in wedge_bases_up_to(3):
