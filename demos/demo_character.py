@@ -10,7 +10,8 @@ from sl2crit.harness import character, character_matches
 def main():
     table = character(12)
     print("charge cutoff:", table["charge_bound"],
-          "(leak-guarded: the next charge is already out of range)")
+          "(charge p starts at twice-degree p^2, so the next charge is "
+          "out of range)")
     print()
     for kind, title in [("V", "full module"), ("Omega", "vacuum space")]:
         print(f"{title}:")

@@ -9,20 +9,17 @@ from fractions import Fraction
 
 from sl2crit import wedge
 from sl2crit.harness import wedge_bases_up_to
-from sl2crit.scalars import half
 
 
 def main():
     print("vacuum word:", wedge.serialize_basis(wedge.VACUUM))
     for t in (-3, -5, 3):
-        m = half(t)
-        out = wedge.a_act(m, wedge.VACUUM)
-        print(f"A({m}) vacuum ->",
+        out = wedge.a_act(t, wedge.VACUUM)
+        print(f"A({t}/2) vacuum ->",
               [(wedge.serialize_basis(w), str(c)) for w, c in out])
     for t in (-3, -5, 3):
-        m = half(t)
-        out = wedge.astar_act(m, wedge.VACUUM)
-        print(f"A*({m}) vacuum ->",
+        out = wedge.astar_act(t, wedge.VACUUM)
+        print(f"A*({t}/2) vacuum ->",
               [(wedge.serialize_basis(w), str(c)) for w, c in out])
     print()
 
@@ -31,10 +28,10 @@ def main():
         v = wedge.WedgeElement.basis(w)
         for tm in range(-7, 8, 2):
             for tn in range(-7, 8, 2):
-                m, n = half(tm), half(tn)
-                lhs = (wedge.apply_mode("A", m, wedge.astar_act(n, w))
-                       + wedge.apply_mode("A*", n, wedge.a_act(m, w)))
-                want = v.scale(-(m.as_fraction() ** 2 - Fraction(1, 4))) \
+                # Modes are passed doubled: tm = 2m, tn = 2n.
+                lhs = (wedge.apply_mode("A", tm, wedge.astar_act(tn, w))
+                       + wedge.apply_mode("A*", tn, wedge.a_act(tm, w)))
+                want = v.scale(-(Fraction(tm, 2) ** 2 - Fraction(1, 4))) \
                     if tm + tn == 0 else wedge.WedgeElement.zero()
                 assert lhs == want, (tm, tn, w)
                 checks += 1

@@ -8,7 +8,7 @@ rationals on finite perturbation encodings, so every stated operator
 identity can be verified with zero tolerance on explicit bases.
 """
 
-from .scalars import HalfInt, binom_series_coeff, contraction_coeff, half
+from .scalars import binom_series_coeff, contraction_coeff
 from .fock import FockElement, ONE, e_coeff, h_act, monomial
 from .wedge import (VACUUM, WedgeBasis, WedgeElement, a_act, astar_act,
                     normal_ordered_pair)
@@ -23,7 +23,7 @@ from .harness import CheckSpec, Report, character, d_homogeneity_probe
 __version__ = "0.1.0"
 
 __all__ = [
-    "HalfInt", "half", "binom_series_coeff", "contraction_coeff",
+    "binom_series_coeff", "contraction_coeff",
     "FockElement", "ONE", "e_coeff", "h_act", "monomial",
     "WedgeBasis", "WedgeElement", "VACUUM", "a_act", "astar_act",
     "normal_ordered_pair", "alpha0_eig", "lattice_d_eig",

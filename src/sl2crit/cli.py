@@ -206,7 +206,7 @@ def main(argv=None):
             return 2
     try:
         return args.run(args, config)
-    except (ValueError, harness.ChargeCutoffLeak) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from math import isqrt
 from . import fock, rep, wedge, zalg
 from .fock import e_coeff
 from .linear import accumulate
-from .scalars import HalfInt, binom_series_coeff, contraction_coeff
+from .scalars import binom_series_coeff, contraction_coeff
 
 CONVENTION_NOTES = [
     "vacuum-space wedge labels: the construction uses the space whose "
@@ -95,11 +95,6 @@ class Report:
         }
 
 
-class ChargeCutoffLeak(RuntimeError):
-    """A basis state just beyond the charge cutoff would land inside the
-    requested grade window."""
-
-
 # ---------------------------------------------------------------------------
 # basis enumeration
 
@@ -153,7 +148,7 @@ def verify_clifford(spec):
                                  "mode_bound": spec.mode_bound})
     bases = wedge_bases_up_to(spec.wedge_deg_cap)
     tmax = 2 * spec.mode_bound + 1
-    modes = [HalfInt(t) for t in range(-tmax, tmax + 1, 2)]
+    modes = range(-tmax, tmax + 1, 2)
     pairs = [("anticommutator_A_Astar", "A", "A*"),
              ("anticommutator_A_A", "A", "A"),
              ("anticommutator_Astar_Astar", "A*", "A*")]
@@ -168,7 +163,7 @@ def verify_clifford(spec):
                     res = (wedge.apply_mode(a, m, wedge._ACTIONS[b](n, w))
                            + wedge.apply_mode(b, n, wedge._ACTIONS[a](m, w))
                            - v.scale(pairing))
-                    report.check(identity, [str(m), str(n)],
+                    report.check(identity, [f"{m}/2", f"{n}/2"],
                                  _basis_label(w), res)
     return report.finalize()
 
@@ -368,8 +363,7 @@ def verify_z_suite(spec):
 
 def _series_inv_eta(maxtd):
     """Twice-graded coefficients of 1 / prod_{n>=1}(1 - q^n)."""
-    out = [Fraction(0)] * (maxtd + 1)
-    out[0] = Fraction(1)
+    out = [1] + [0] * maxtd
     for n in range(1, maxtd // 2 + 1):
         step = 2 * n
         for i in range(step, maxtd + 1):
@@ -379,8 +373,7 @@ def _series_inv_eta(maxtd):
 
 def _series_wedge(maxtd):
     """Twice-graded coefficients of prod_{m>=1}(1 + q^m)^2."""
-    out = [Fraction(0)] * (maxtd + 1)
-    out[0] = Fraction(1)
+    out = [1] + [0] * maxtd
     for m in range(1, maxtd // 2 + 1):
         for _ in range(2):
             step = 2 * m
@@ -390,16 +383,15 @@ def _series_wedge(maxtd):
 
 
 def _series_lattice(maxtd, P):
-    out = [Fraction(0)] * (maxtd + 1)
+    out = [0] * (maxtd + 1)
     for p in range(-P, P + 1):
-        if p * p <= maxtd:
-            out[p * p] += 1
+        out[p * p] += 1
     return out
 
 
 def _convolve(a, b):
     n = len(a)
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -408,19 +400,15 @@ def _convolve(a, b):
     return out
 
 
-def character(max_twice_deg, charge_bound=None):
+def character(max_twice_deg):
     """Enumerated graded dimensions versus the product-formula series.
 
     Returns a dict with rows for the full module and for the vacuum space,
     each row (twice_degree, enumerated, formula), plus notes.  The charge
-    cutoff is leak-guarded: any charge just beyond it already lies outside
-    the grade window.
+    cutoff P = isqrt(max_twice_deg) is exact: charge p starts at
+    twice-degree p^2, so every charge beyond P lies outside the window.
     """
-    P = charge_bound if charge_bound is not None else isqrt(max_twice_deg)
-    if (P + 1) ** 2 <= max_twice_deg:
-        raise ChargeCutoffLeak(
-            f"charge {P + 1} reaches twice-degree {(P + 1) ** 2} "
-            f"<= {max_twice_deg}")
+    P = isqrt(max_twice_deg)
 
     counts_v = [0] * (max_twice_deg + 1)
     counts_omega = [0] * (max_twice_deg + 1)
@@ -439,7 +427,7 @@ def character(max_twice_deg, charge_bound=None):
 
     def rows(counts, formula):
         return [{"twice_degree": td, "enumerated": counts[td],
-                 "formula": int(formula[td])}
+                 "formula": formula[td]}
                 for td in range(max_twice_deg + 1)]
 
     return {

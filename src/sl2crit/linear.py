@@ -24,12 +24,20 @@ class LinearCombination:
                     clean[key] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _wrap(cls, terms):
+        """Take ownership of a dict that is already clean: Fraction values,
+        none of them zero."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):
-        return cls({})
+        return cls._wrap({})
 
     @classmethod
     def basis(cls, key, coeff=1):
@@ -55,48 +63,33 @@ class LinearCombination:
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return type(self)(out)
+            accumulate(out, key, c)
+        return type(self)._wrap(out)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, 0) - c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return type(self)(out)
+            accumulate(out, key, -c)
+        return type(self)._wrap(out)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return type(self)._wrap({k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
         if not scalar:
-            return type(self)({})
-        return type(self)({k: c * scalar for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+            return type(self).zero()
+        return type(self)._wrap({k: c * scalar for k, c in self.terms.items()})
 
     def map_basis(self, fn):
         """Apply a linear map given on basis keys: fn(key) -> combination."""
         out = {}
         for key, c in self.terms.items():
             for key2, c2 in fn(key):
-                s = out.get(key2, 0) + c * c2
-                if s:
-                    out[key2] = s
-                else:
-                    out.pop(key2, None)
-        return type(self)(out)
+                accumulate(out, key2, c * c2)
+        return type(self)._wrap(out)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
@@ -113,7 +106,8 @@ class LinearCombination:
 
 
 def accumulate(target, key, coeff):
-    """In-place add into a plain dict used as an accumulator."""
+    """In-place add into a plain dict used as an accumulator; a key whose
+    sum is zero is dropped."""
     s = target.get(key, 0) + coeff
     if s:
         target[key] = s

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import fock, wedge
 from .linear import LinearCombination, accumulate
-from .scalars import HalfInt, format_rational
+from .scalars import format_rational
 
 
 class State(LinearCombination):
@@ -94,7 +94,7 @@ def _field_basis(sign, m, fockmono, w, p):
         modes = [t for t in own if t >= tmin]
         modes.extend(t for t in range(-3, tmin - 1, -2) if t not in other)
         for t in modes:
-            welem = act(HalfInt(t), w)
+            welem = act(t, w)
             if not welem:
                 continue
             k1 = k2 + (t + 1) // 2 + sp - m

@@ -7,7 +7,8 @@ factors and a finite set of omitted positive factors ("holes").  The slot
 automatically because the oscillator scalars (m - 1/2) vanish at the
 modes that would touch them.
 
-Indices are stored as doubled values (odd ints).
+Indices are stored as doubled values (odd ints), and the oscillator modes
+m in Z+1/2 are passed the same way, as t = 2m.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linear import LinearCombination
-from .scalars import HalfInt
 
 
 @dataclass(frozen=True)
@@ -45,25 +45,18 @@ class WedgeBasis:
             raise ValueError("holes must be strictly ascending")
 
     def supports(self, t):
-        """Is the doubled index t in the support of this wedge?"""
-        if t % 2 == 0:
-            return False
+        """Is the odd doubled index t in the support of this wedge?"""
         if t < -1:
             return t in self.neg
-        if t == -1:
-            return True
-        if t == 1:
-            return False
-        return t not in self.holes
+        return t == -1 or (t > 1 and t not in self.holes)
 
     def support_below(self, t):
-        """Number of support elements strictly below doubled index t."""
+        """Number of support elements strictly below odd doubled index t."""
         count = sum(1 for s in self.neg if s < t)
         if t > -1:
             count += 1
         if t > 3:
-            count += (t - 3) // 2 if t % 2 else (t - 2) // 2
-            count -= sum(1 for s in self.holes if s < t)
+            count += (t - 3) // 2 - sum(1 for s in self.holes if s < t)
         return count
 
     @property
@@ -83,11 +76,11 @@ class WedgeElement(LinearCombination):
     """Finite rational combination of wedge basis vectors."""
 
 
-def _oscillator(m, r, occupied, w):
+def _oscillator(t, r, occupied, w):
     """(m - 1/2) times the flip of the factor u_r (doubled index r) of w,
-    reordered into canonical form: a removal when `occupied`, an insertion
-    otherwise; zero unless u_r is present exactly when `occupied`."""
-    t = m.twice
+    with m = t/2, reordered into canonical form: a removal when `occupied`,
+    an insertion otherwise; zero unless u_r is present exactly when
+    `occupied`."""
     if t % 2 == 0:
         raise ValueError("mode must lie in Z+1/2")
     if t == 1 or w.supports(r) != occupied:
@@ -100,50 +93,63 @@ def _oscillator(m, r, occupied, w):
     return WedgeElement.basis(new, sign * Fraction(t - 1, 2))
 
 
-def a_act(m, w):
-    """Oscillator A(m): (m - 1/2) u_m ^ w, reordered into canonical form."""
-    return _oscillator(m, m.twice, False, w)
+def a_act(t, w):
+    """Oscillator A(m), m = t/2: (m - 1/2) u_m ^ w, reordered into canonical
+    form."""
+    return _oscillator(t, t, False, w)
 
 
-def astar_act(m, w):
-    """Oscillator A*(m): (m - 1/2) times removal of the factor u_{-m}."""
-    return _oscillator(m, -m.twice, True, w)
+def astar_act(t, w):
+    """Oscillator A*(m), m = t/2: (m - 1/2) times removal of the factor
+    u_{-m}."""
+    return _oscillator(t, -t, True, w)
 
 
 # Kind -> basis action, looked up when called.
-_ACTIONS = {"A": lambda m, w: a_act(m, w), "A*": lambda m, w: astar_act(m, w)}
+_ACTIONS = {"A": lambda t, w: a_act(t, w), "A*": lambda t, w: astar_act(t, w)}
 
 
-def apply_mode(kind, m, elem):
+def apply_mode(kind, t, elem):
     """Linear extension of a_act / astar_act to a WedgeElement."""
     act = _ACTIONS[kind]
-    return elem.map_basis(lambda w: act(m, w))
+    return elem.map_basis(lambda w: act(t, w))
 
 
-def normal_ordered_pair(akind, m, bkind, n, w):
-    """:a(m)b(n): on a basis wedge -- plain composition for m < 0, the
-    negated swapped composition for m > 0."""
+def normal_ordered_pair(akind, t, bkind, u, w):
+    """:a(m)b(n): on a basis wedge, for doubled modes t = 2m, u = 2n --
+    plain composition for m < 0, the negated swapped composition for
+    m > 0."""
     if akind not in _ACTIONS or bkind not in _ACTIONS:
         raise ValueError("operator kind must be 'A' or 'A*'")
-    if m.twice < 0:
-        inner = _ACTIONS[bkind](n, w)
-        return apply_mode(akind, m, inner)
-    inner = _ACTIONS[akind](m, w)
-    return -apply_mode(bkind, n, inner)
+    if t < 0:
+        inner = _ACTIONS[bkind](u, w)
+        return apply_mode(akind, t, inner)
+    inner = _ACTIONS[akind](t, w)
+    return -apply_mode(bkind, u, inner)
 
 
-def contraction_check(akind, m, bkind, n, w):
-    """a(m)b(n) - :a(m)b(n): on a basis wedge; scalar times w when the pair
-    is an (A, A*) pair at opposite modes, zero otherwise."""
-    plain = apply_mode(akind, m, _ACTIONS[bkind](n, w))
-    return plain - normal_ordered_pair(akind, m, bkind, n, w)
+def contraction_check(akind, t, bkind, u, w):
+    """a(m)b(n) - :a(m)b(n): on a basis wedge, for doubled modes t = 2m,
+    u = 2n; scalar times w when the pair is an (A, A*) pair at opposite
+    modes, zero otherwise."""
+    plain = apply_mode(akind, t, _ACTIONS[bkind](u, w))
+    return plain - normal_ordered_pair(akind, t, bkind, u, w)
 
 
 def serialize_basis(w):
     return {
-        "neg": [str(HalfInt(t)) for t in w.neg],
-        "holes": [str(HalfInt(t)) for t in w.holes],
+        "neg": [f"{t}/2" for t in w.neg],
+        "holes": [f"{t}/2" for t in w.holes],
     }
+
+
+def _parse_label(s):
+    """Doubled index of a wedge label "t/2"; WedgeBasis checks that t is
+    odd."""
+    num, slash, den = s.partition("/")
+    if not slash or int(den) != 2:
+        raise ValueError(f"not a half-integer label: {s!r}")
+    return int(num)
 
 
 def parse_basis(data):
@@ -154,6 +160,5 @@ def parse_basis(data):
     if any(not isinstance(ls, list) or any(not isinstance(s, str) for s in ls)
            for ls in labels):
         raise ValueError(f"wedge labels must be lists of strings: {data!r}")
-    neg, holes = (tuple(sorted(HalfInt.from_string(s).twice for s in ls))
-                  for ls in labels)
+    neg, holes = (tuple(sorted(_parse_label(s) for s in ls)) for ls in labels)
     return WedgeBasis(neg, holes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import fock, rep, wedge
 from .linear import LinearCombination
-from .scalars import HalfInt, binom_series_coeff
+from .scalars import binom_series_coeff
 
 
 class OmegaState(LinearCombination):
@@ -51,7 +51,7 @@ def _z_act(sign, m, s):
 
     def on_basis(key):
         w, p = key
-        welem = act(HalfInt(2 * (m - step * p) - 1), w)
+        welem = act(2 * (m - step * p) - 1, w)
         return [((w2, p + step), c) for w2, c in welem]
     return s.map_basis(on_basis)
 

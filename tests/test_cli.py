@@ -61,11 +61,9 @@ class TestCharacter:
         assert (tmp_path / "character_V.csv").exists()
         assert (tmp_path / "character_Omega.csv").exists()
 
-    def test_cutoff_leak_is_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("max_twice_deg = 9\ncharge_bound = 2\n")
-        # charge_bound is ignored by the census subcommand, but a degree
-        # cap that is a perfect square sits exactly on the safe boundary.
+    def test_charge_cutoff_is_isqrt_of_degree(self, capsys):
+        # A degree cap that is a perfect square puts the last charge
+        # exactly on the boundary of the window.
         code, out, _ = run(capsys, "character", "--max-twice-deg", "9")
         assert code == 0 and json.loads(out)["charge_bound"] == 3
 
@@ -122,8 +120,15 @@ class TestAct:
     @pytest.mark.parametrize("change", [
         {"fock": "ab"}, {"fock": [1.5]}, {"coeff": "1/0"}, {"charge": 1.5},
         {"charge": True}, {"wedge": {"neg": [3], "holes": []}},
+        {"wedge": {"neg": [], "holes": ["3/4"]}},
+        {"wedge": {"neg": [], "holes": ["4"]}},
+        {"wedge": {"neg": [], "holes": ["3/1"]}},
+        {"wedge": {"neg": [], "holes": ["1.5"]}},
+        {"wedge": {"neg": [], "holes": ["3/2/2"]}},
     ], ids=["fock-str", "fock-float", "coeff-zero-den", "charge-float",
-            "charge-bool", "wedge-int-label"])
+            "charge-bool", "wedge-int-label", "wedge-label-quarter",
+            "wedge-label-even", "wedge-label-over-one", "wedge-label-decimal",
+            "wedge-label-two-slashes"])
     def test_malformed_term_is_usage_error(self, capsys, tmp_path, change):
         term = {**rep.state_to_json(rep.v0())["terms"][0], **change}
         self._check_malformed(capsys, tmp_path, {"terms": [term]})

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sl2crit import fock, harness, rep
-from sl2crit.harness import (CheckSpec, ChargeCutoffLeak, character,
+from sl2crit.harness import (CheckSpec, character,
                              character_csv, character_matches,
                              d_homogeneity_probe, state_basis,
                              verify_clifford,
@@ -88,10 +88,6 @@ class TestCharacter:
         for key, count in by_charge.items():
             p, td = (int(x) for x in key.split(":"))
             assert by_charge[f"{-p}:{td}"] == count
-
-    def test_cutoff_leak_guard(self):
-        with pytest.raises(ChargeCutoffLeak):
-            character(9, charge_bound=2)
 
     def test_csv(self):
         text = character_csv(character(4), "V")

@@ -13,7 +13,6 @@ from sl2crit.fock import FockElement
 from sl2crit.rep import (NotAWeightVector, State, alpha0_eig, basis_state,
                          c_act, chevalley_act, d_act, h_act_full,
                          lattice_d_eig, v0, v1, weight_of, x_act, y_act)
-from sl2crit.scalars import half
 
 N_TRUNC = 8
 
@@ -76,7 +75,7 @@ def oracle_field(kind, m, key, ncap=N_TRUNC):
     for e_ann, felem in ann.items():
         creations = _apply_exp(_exp_entries(sup, "+", ncap), felem, ncap)
         for t in range(-2 * ncap - 1, 2 * ncap + 2, 2):
-            welem = mode_act(half(t), w)
+            welem = mode_act(t, w)
             if not welem:
                 continue
             zf = -(t + 1) // 2

@@ -1,10 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
-
-from sl2crit.scalars import (HalfInt, binom_series_coeff, contraction_coeff,
-                             format_rational, half)
+from sl2crit.scalars import (binom_series_coeff, contraction_coeff,
+                             format_rational)
 
 
 def mul_series(a, b, order):
@@ -58,49 +56,24 @@ class TestBinomSeriesCoeff:
 
 class TestContractionCoeff:
     def test_examples(self):
-        assert contraction_coeff(half(3), half(-3)) == -2
-        assert contraction_coeff(half(1), half(-1)) == 0
-        assert contraction_coeff(half(-3), half(3)) == 0
+        assert contraction_coeff(3, -3) == -2
+        assert contraction_coeff(1, -1) == 0
+        assert contraction_coeff(-3, 3) == 0
 
     def test_mode_three_halves_from_series_oracle(self):
         # -2zw/(z-w)^3 = -2 sum_j C(j+2,2) z^{-j-2} w^{j+1} in |z| > |w|;
         # read off z^{-m-1/2} w^{-n-1/2} for m = 3/2, n = -3/2, i.e. j = 0.
         val = Fraction(-2) * binom_series_coeff(-3, 0)
-        assert contraction_coeff(half(3), half(-3)) == val
+        assert contraction_coeff(3, -3) == val
 
     def test_two_regions_sum_to_anticommutator(self):
         for t in range(-11, 12, 2):
-            m = half(t)
-            total = contraction_coeff(m, -m) + contraction_coeff(-m, m)
-            assert total == -(m.as_fraction() ** 2 - Fraction(1, 4))
+            total = contraction_coeff(t, -t) + contraction_coeff(-t, t)
+            assert total == -(Fraction(t, 2) ** 2 - Fraction(1, 4))
 
     def test_rejects_integer_modes(self):
         with pytest.raises(ValueError):
-            contraction_coeff(HalfInt(2), HalfInt(-2))
-
-
-class TestHalfInt:
-    def test_parity(self):
-        assert half(3).is_half_odd
-        assert not HalfInt(4).is_half_odd
-
-    def test_arithmetic_and_order(self):
-        assert half(3) + half(-1) == half(2)
-        assert -half(3) == half(-3)
-        assert half(-3) < half(1)
-
-    def test_string_round_trip(self):
-        assert str(half(-11)) == "-11/2"
-        assert HalfInt.from_string("-11/2") == half(-11)
-        assert HalfInt.from_string("4") == HalfInt(8)
-
-    @given(st.integers(min_value=-1000, max_value=1000))
-    def test_parse_format_inverse(self, t):
-        assert HalfInt.from_string(str(HalfInt(t))) == HalfInt(t)
-
-    def test_immutable(self):
-        with pytest.raises(AttributeError):
-            half(3).twice = 5
+            contraction_coeff(2, -2)
 
 
 def test_rational_serialization():
