@@ -24,20 +24,12 @@ class LinearCombination:
                     clean[key] = coeff
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def _wrap(cls, terms):
-        """Take ownership of a dict that is already clean: Fraction values,
-        none of them zero."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", terms)
-        return obj
-
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):
-        return cls._wrap({})
+        return cls({})
 
     @classmethod
     def basis(cls, key, coeff=1):
@@ -64,7 +56,7 @@ class LinearCombination:
         out = dict(self.terms)
         for key, c in other.terms.items():
             accumulate(out, key, c)
-        return type(self)._wrap(out)
+        return type(self)(out)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -72,16 +64,16 @@ class LinearCombination:
         out = dict(self.terms)
         for key, c in other.terms.items():
             accumulate(out, key, -c)
-        return type(self)._wrap(out)
+        return type(self)(out)
 
     def __neg__(self):
-        return type(self)._wrap({k: -c for k, c in self.terms.items()})
+        return type(self)({k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
         if not scalar:
             return type(self).zero()
-        return type(self)._wrap({k: c * scalar for k, c in self.terms.items()})
+        return type(self)({k: c * scalar for k, c in self.terms.items()})
 
     def map_basis(self, fn):
         """Apply a linear map given on basis keys: fn(key) -> combination."""
@@ -89,7 +81,7 @@ class LinearCombination:
         for key, c in self.terms.items():
             for key2, c2 in fn(key):
                 accumulate(out, key2, c * c2)
-        return type(self)._wrap(out)
+        return type(self)(out)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
