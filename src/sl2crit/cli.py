@@ -41,6 +41,10 @@ OPS = {
 
 SPEC_KEYS = [f.name for f in dataclasses.fields(CheckSpec)]
 
+# Largest `act` input: max over terms of Fock degree + wedge degree + |charge|,
+# plus |m|.  Costs grow like partition numbers; X(-20) on v0 has 2,087 terms.
+ACT_SIZE_LIMIT = 20
+
 
 def read_config(path):
     """Simple key=value config; '#' starts a comment.  Keys are CheckSpec
@@ -127,6 +131,12 @@ def cmd_act(args, config):
         state = rep.state_from_json(json.loads(Path(args.state).read_text()))
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot read state: {exc}", file=sys.stderr)
+        return 2
+    size = max((sum(mono) + w.degree() + abs(p)
+                for mono, w, p in state.terms), default=0) + abs(args.m or 0)
+    if size > ACT_SIZE_LIMIT:
+        print(f"input size {size} exceeds the act limit {ACT_SIZE_LIMIT}",
+              file=sys.stderr)
         return 2
     payload = json.dumps(rep.state_to_json(action(args.m, state)), indent=2)
     write_artifact(args.out, "act_result.json", payload)

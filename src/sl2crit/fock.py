@@ -50,13 +50,6 @@ def _partitions(n, distinct=False):
     return tuple(out)
 
 
-def _multiplicities(parts):
-    mult = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    return mult
-
-
 def _h_act_monomial(n, mono):
     """H(n) on a single monomial, as a list of (monomial, coeff) pairs."""
     if n == 0:
@@ -88,44 +81,29 @@ def _e_coeff_monomial(sup, sub, k, mono):
     the creation exponential exp(∓ sum H(-n)/2n z^n), subscript '-' the
     annihilation exponential exp(± sum H(n)/2n z^-n), with the sign read
     off the superscript.
+
+    Both follow from |k| E_k = sum_{n=1..|k|} n a_n E_{k∓n}, the recursion for
+    E(z) = exp(sum_{n>=1} a_n z^{±n}) with commuting n a_n = sign H(∓n)/2.
+    Each E_j is computed once through the cache; the depth is |k|.
     """
     if sup not in "+-" or sub not in "+-":
         raise ValueError("sup and sub must be '+' or '-'")
-    if sub == "+":
-        if k < 0:
-            raise ValueError("creation exponential has no negative z-powers")
-        sign = -1 if sup == "+" else 1
-    else:
-        if k > 0:
-            raise ValueError("annihilation exponential has no positive z-powers")
-        sign = 1 if sup == "+" else -1
+    if sub == "+" and k < 0:
+        raise ValueError("creation exponential has no negative z-powers")
+    if sub == "-" and k > 0:
+        raise ValueError("annihilation exponential has no positive z-powers")
     if k == 0:
         return ((mono, Fraction(1)),)
 
+    sign = -1 if sup == sub else 1
+    step = 1 if k > 0 else -1
     out = {}
-    for parts in _partitions(abs(k)):
-        coeff = Fraction(1)
-        for part, mult in _multiplicities(parts).items():
-            coeff *= Fraction(sign, 2 * part) ** mult
-            for i in range(1, mult + 1):
-                coeff /= i
-        if sub == "+":
-            newmono = tuple(sorted(mono + parts, reverse=True))
-            accumulate(out, newmono, coeff)
-        else:
-            # Apply the commuting annihilators H(part) one part at a time.
-            current = {mono: coeff}
-            for part in parts:
-                nxt = {}
-                for m2, c2 in current.items():
-                    for m3, c3 in _h_act_monomial(part, m2):
-                        accumulate(nxt, m3, c2 * c3)
-                current = nxt
-                if not current:
-                    break
-            for m2, c2 in current.items():
-                accumulate(out, m2, c2)
-    return tuple(out.items())
+    for n in range(1, abs(k) + 1):
+        for m2, c2 in _e_coeff_monomial(sup, sub, k - step * n, mono):
+            for m3, c3 in _h_act_monomial(-step * n, m2):
+                accumulate(out, m3, c2 * c3)
+    scale = Fraction(sign, 2 * abs(k))
+    return tuple((m, c * scale) for m, c in out.items())
 
 
 def e_coeff(sup, sub, k, v):

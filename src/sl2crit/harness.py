@@ -208,19 +208,30 @@ def verify_e_identities(spec):
     K = spec.mode_bound
     D = spec.max_twice_deg // 2
     monomials = [m for f in range(D + 1) for m in fock._partitions(f)]
+    zero = fock.FockElement.zero()
     for mono in monomials:
         v = fock.FockElement.basis(mono)
         d = sum(mono)
         label = json.dumps(list(mono))
-        for sub in "+-":
+        # Subscript '+' has coefficients at z^k, '-' at z^-k, k >= 0.
+        for sub, sg, name in (("+", 1, "commute_sub_plus"),
+                              ("-", -1, "commute_sub_minus")):
             # E^+_s(z) E^-_s(z) = 1, coefficient of z^j.
-            for j in range(0, K + 1) if sub == "+" else range(-K, 1):
-                ks = range(j + 1) if sub == "+" else range(j, 1)
-                total = sum((e_coeff("+", sub, k, e_coeff("-", sub, j - k, v))
-                             for k in ks), fock.FockElement.zero())
-                report.check("unit_product", [sub, j], label,
-                             total - (v if j == 0
-                                      else fock.FockElement.zero()))
+            for j in range(K + 1):
+                total = sum((e_coeff("+", sub, sg * k,
+                                     e_coeff("-", sub, sg * (j - k), v))
+                             for k in range(j + 1)), zero)
+                report.check("unit_product", [sub, sg * j], label,
+                             total - (v if j == 0 else zero))
+            # Commuting pairs with equal subscripts.
+            for s1, s2 in [("+", "+"), ("-", "+"), ("-", "-")]:
+                for a in range(K + 1):
+                    for b in range(K + 1):
+                        report.check(name, [s1, s2, a, b], label,
+                                     e_coeff(s1, sub, sg * a,
+                                             e_coeff(s2, sub, sg * b, v))
+                                     - e_coeff(s2, sub, sg * b,
+                                               e_coeff(s1, sub, sg * a, v)))
         # E^{s1}_-(z) E^{s2}_+(w) = E^{s2}_+(w) E^{s1}_-(z) (1 - w/z)^e, with
         # e = -1 for equal superscripts and e = +1 (two terms) for (+, -).
         for identity, s1, s2, e, prefix in [
@@ -234,21 +245,8 @@ def verify_e_identities(spec):
                     rhs = sum((e_coeff(s2, "+", b - k,
                                        e_coeff(s1, "-", -(a - k), v)).scale(
                                            binom_series_coeff(e, k))
-                               for k in range(kmax + 1)),
-                              fock.FockElement.zero())
+                               for k in range(kmax + 1)), zero)
                     report.check(identity, prefix + [a, b], label, lhs - rhs)
-        # Commuting pairs with equal subscripts.
-        for s1, s2 in [("+", "+"), ("-", "+"), ("-", "-")]:
-            for a in range(K + 1):
-                for b in range(K + 1):
-                    report.check("commute_sub_plus", [s1, s2, a, b], label,
-                                 e_coeff(s1, "+", a, e_coeff(s2, "+", b, v))
-                                 - e_coeff(s2, "+", b, e_coeff(s1, "+", a, v)))
-                    report.check("commute_sub_minus", [s1, s2, a, b], label,
-                                 e_coeff(s1, "-", -a,
-                                         e_coeff(s2, "-", -b, v))
-                                 - e_coeff(s2, "-", -b,
-                                           e_coeff(s1, "-", -a, v)))
         # d/dz (E^s_+(z) E^s_-(z)), coefficient of z^j, against the
         # middle-field form with modes H(n)/2.
         for sup in "+-":
@@ -257,8 +255,8 @@ def verify_e_identities(spec):
                 lhs = sum((e_coeff(sup, "+", k,
                                    e_coeff(sup, "-", j + 1 - k, v))
                            for k in range(max(0, j + 1), j + 1 + d + 1)),
-                          fock.FockElement.zero()).scale(j + 1)
-                rhs = fock.FockElement.zero()
+                          zero).scale(j + 1)
+                rhs = zero
                 for b in range(0, -(d + 1), -1):
                     inner = e_coeff(sup, "-", b, v)
                     if not inner:
@@ -301,17 +299,15 @@ def verify_hwv():
             ("c_on_v0", rep.c_act(v0), v0.scale(-2))]:
         report.check(identity, [], "", got - want)
 
+    weights = report.extra["weights"] = {}
     for name, v, want in [("v0", v0, (Fraction(-2), Fraction(0), Fraction(0))),
                           ("v1", v1, (Fraction(0), Fraction(-2),
                                       Fraction(-1, 2)))]:
         got = rep.weight_of(v)
         ok = (got.h0, got.h1, got.d) == want
-        report.check(f"weight_{name}", [str(x) for x in want], "",
+        weights[name] = [str(x) for x in want]
+        report.check(f"weight_{name}", weights[name], "",
                      None if ok else got)
-    report.extra["weights"] = {
-        "v0": ["-2", "0", "0"],
-        "v1": ["0", "-2", "-1/2"],
-    }
     return report.finalize()
 
 
@@ -361,16 +357,6 @@ def verify_z_suite(spec):
 # ---------------------------------------------------------------------------
 # graded dimension
 
-def _series_inv_eta(maxtd):
-    """Twice-graded coefficients of 1 / prod_{n>=1}(1 - q^n)."""
-    out = [1] + [0] * maxtd
-    for n in range(1, maxtd // 2 + 1):
-        step = 2 * n
-        for i in range(step, maxtd + 1):
-            out[i] += out[i - step]
-    return out
-
-
 def _series_wedge(maxtd):
     """Twice-graded coefficients of prod_{m>=1}(1 + q^m)^2."""
     out = [1] + [0] * maxtd
@@ -379,24 +365,6 @@ def _series_wedge(maxtd):
             step = 2 * m
             for i in range(maxtd, step - 1, -1):
                 out[i] += out[i - step]
-    return out
-
-
-def _series_lattice(maxtd, P):
-    out = [0] * (maxtd + 1)
-    for p in range(-P, P + 1):
-        out[p * p] += 1
-    return out
-
-
-def _convolve(a, b):
-    n = len(a)
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(n - i):
-            out[i + j] += ai * b[j]
     return out
 
 
@@ -420,10 +388,16 @@ def character(max_twice_deg):
         if not fmono:
             counts_omega[td] += 1
 
+    # Omega: the wedge series times the lattice theta series sum_p q^{p^2/2};
+    # V: that times 1/prod_{n>=1}(1 - q^n), one factor at a time, in place.
     wser = _series_wedge(max_twice_deg)
-    lser = _series_lattice(max_twice_deg, P)
-    formula_v = _convolve(_convolve(wser, lser), _series_inv_eta(max_twice_deg))
-    formula_omega = _convolve(wser, lser)
+    formula_omega = [sum(wser[td - p * p] for p in range(-P, P + 1)
+                         if p * p <= td)
+                     for td in range(max_twice_deg + 1)]
+    formula_v = list(formula_omega)
+    for n in range(1, max_twice_deg // 2 + 1):
+        for i in range(2 * n, max_twice_deg + 1):
+            formula_v[i] += formula_v[i - 2 * n]
 
     def rows(counts, formula):
         return [{"twice_degree": td, "enumerated": counts[td],

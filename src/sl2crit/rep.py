@@ -21,7 +21,6 @@ from functools import lru_cache
 
 from . import fock, wedge
 from .linear import LinearCombination, accumulate
-from .scalars import format_rational
 
 
 class State(LinearCombination):
@@ -200,7 +199,7 @@ def state_to_json(s):
         mono, w, p = key if len(key) == 3 else ((),) + key
         return (sum(mono) + w.degree(), p, mono, w.neg, w.holes)
 
-    return {"terms": [{"coeff": format_rational(s.terms[key]),
+    return {"terms": [{"coeff": str(s.terms[key]),
                        **key_to_json(key)}
                       for key in sorted(s.terms, key=order)]}
 

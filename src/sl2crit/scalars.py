@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, series coefficients, the oscillator
-pairing scalar.
+"""Exact scalar arithmetic: series coefficients and the oscillator pairing
+scalar.
 
 All coefficients in the library are `fractions.Fraction`; nothing here is
 ever floating point.  Oscillator modes in Z+1/2 are passed as their doubled
@@ -11,14 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-
-
-def format_rational(x):
-    """Serialize a Fraction as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def binom_series_coeff(e, k):

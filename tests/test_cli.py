@@ -1,10 +1,11 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from sl2crit import rep, wedge
-from sl2crit.cli import build_spec, main, read_config
+from sl2crit.cli import ACT_SIZE_LIMIT, build_spec, main, read_config
 
 
 def run(capsys, *argv):
@@ -145,6 +146,26 @@ class TestAct:
                              "--state", str(bad))
         assert code == 2 and not out
         assert "cannot read state" in err
+
+    def test_huge_charge_is_usage_error(self, capsys, tmp_path):
+        path = self._write_state(tmp_path, rep.basis_state(charge=100000))
+        start = time.monotonic()
+        code, out, err = run(capsys, "act", "--op", "X", "--m", "0",
+                             "--state", path)
+        assert time.monotonic() - start < 5
+        assert code == 2 and not out
+        assert "100000" in err and str(ACT_SIZE_LIMIT) in err
+
+    def test_size_limit_is_inclusive(self, capsys, tmp_path):
+        path = self._write_state(tmp_path, rep.v0())
+        code, out, _ = run(capsys, "act", "--op", "X", "--m", "-20",
+                           "--state", path)
+        assert code == 0
+        assert len(json.loads(out)["terms"]) == 2087
+        code, out, err = run(capsys, "act", "--op", "X", "--m", "-21",
+                             "--state", path)
+        assert code == 2 and not out
+        assert "21" in err
 
     def test_missing_state_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "act", "--op", "d",

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,25 @@ class TestExponentialCoefficients:
 
     def test_annihilation_vanishes_beyond_degree(self):
         assert e_coeff("+", "-", -3, basis(2)).is_zero()
+
+    def test_coefficient_table_is_pinned(self):
+        # Every coefficient for both superscripts and subscripts, |k| <= 10,
+        # on all monomials of degree <= 8 (2,948 rows), against the digest
+        # of the partition-sum expansion of the exponentials.
+        rows = []
+        for f in range(9):
+            for mono in fock._partitions(f):
+                for sup in "+-":
+                    for sub, ks in (("+", range(11)),
+                                    ("-", range(0, -11, -1))):
+                        for k in ks:
+                            terms = fock._e_coeff_monomial(sup, sub, k, mono)
+                            rows.append([sup, sub, k, list(mono), sorted(
+                                [list(m), str(c)] for m, c in terms)])
+        assert len(rows) == 2948
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == ("993007ad95fcad560c0dde2834a9899e"
+                          "b7cf5251220ebbfa6d00da7de5b4238d")
 
 
 def test_monomial_canonical_form():

@@ -1,8 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from sl2crit.scalars import (binom_series_coeff, contraction_coeff,
-                             format_rational)
+from sl2crit import rep
+from sl2crit.scalars import binom_series_coeff, contraction_coeff
 
 
 def mul_series(a, b, order):
@@ -77,5 +77,7 @@ class TestContractionCoeff:
 
 
 def test_rational_serialization():
-    assert format_rational(Fraction(-3, 4)) == "-3/4"
-    assert format_rational(Fraction(5)) == "5"
+    s = (rep.basis_state(coeff=Fraction(-3, 4))
+         + rep.basis_state((1,), coeff=Fraction(10, 2)))
+    coeffs = [t["coeff"] for t in rep.state_to_json(s)["terms"]]
+    assert coeffs == ["-3/4", "5"]
