@@ -31,8 +31,8 @@ OPS = {
     "X": (True, lambda m, s: rep.x_act(m, s)),
     "Y": (True, lambda m, s: rep.y_act(m, s)),
     "H": (True, lambda m, s: rep.h_act_full(m, s)),
-    "Z+": (True, lambda m, s: zalg.zop_via_definition("+", m, s)),
-    "Z-": (True, lambda m, s: zalg.zop_via_definition("-", m, s)),
+    "Z+": (True, lambda m, s: zalg.z_act_full("+", m, s)),
+    "Z-": (True, lambda m, s: zalg.z_act_full("-", m, s)),
     "d": (False, lambda m, s: rep.d_act(s)),
     "c": (False, lambda m, s: rep.c_act(s)),
     **{g: (False, lambda m, s, g=g: rep.chevalley_act(g, s))

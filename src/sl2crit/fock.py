@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .linear import LinearCombination, accumulate
 
@@ -104,6 +105,34 @@ def _e_coeff_monomial(sup, sub, k, mono):
                 accumulate(out, m3, c2 * c3)
     scale = Fraction(sign, 2 * abs(k))
     return tuple((m, c * scale) for m, c in out.items())
+
+
+def _e_den(k):
+    """Denominator that clears the z^k coefficients of the exponentials:
+    2^k k! for a creation power k > 0, 1 for an annihilation power.
+
+    Annihilation: H(n) = -4n times a derivative, so the exponent
+    ± sum H(n)/2n z^-n is a Taylor shift by ∓2 in each variable and has
+    integer coefficients.  Creation: a partition of k with l parts and
+    centralizer order z contributes ±1/(2^l z), and both k!/z and
+    2^(k-l) are integers.
+    """
+    return 2 ** k * factorial(k) if k > 0 else 1
+
+
+@lru_cache(maxsize=None)
+def _e_int_monomial(sup, sub, k, mono):
+    """`_e_coeff_monomial` times _e_den(k), as ((monomial, int), ...);
+    raises ArithmeticError if a scaled coefficient is not an integer."""
+    den = _e_den(k)
+    out = []
+    for m, c in _e_coeff_monomial(sup, sub, k, mono):
+        c *= den
+        if c.denominator != 1:
+            raise ArithmeticError(f"E^{sup}_{sub} coefficient at z^{k} on "
+                                  f"{mono} times {den} is {c}")
+        out.append((m, c.numerator))
+    return tuple(out)
 
 
 def e_coeff(sup, sub, k, v):

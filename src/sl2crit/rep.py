@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import fock, wedge
 from .linear import LinearCombination, accumulate
@@ -66,15 +67,18 @@ class WeightTriple:
 
 
 def _field_basis(sign, m, fockmono, w, p):
-    """X(m) (sign +1) or Y(m) (sign -1) on a basis triple; returns
-    ((key, coeff), ...).
+    """X(m) (sign +1) or Y(m) (sign -1) on a basis triple, as integer
+    numerators over one denominator: (((key, int), ...), den).
 
     Both fields are an oscillator dressed by the two exponentials and a
     lattice shift by sign*alpha: X uses A and the '+' exponentials, Y uses
     A* and the '-' ones.  The oscillator modes that act nontrivially are
     the `own` perturbations (holes for A, negated extra negatives for A*)
     and every t <= -3 not in `other` (extra negatives for A, negated
-    holes for A*).
+    holes for A*).  Annihilation coefficients and the oscillator scalars
+    (t-1)/2 are integers, and the creation coefficient at z^k is one over
+    fock._e_den(k), so den = fock._e_den(K) for the largest creation power
+    K that occurs.
     """
     if sign > 0:
         sup, act, own, other = "+", wedge.a_act, w.holes, w.neg
@@ -83,35 +87,46 @@ def _field_basis(sign, m, fockmono, w, p):
         own = tuple(-s for s in w.neg)
         other = tuple(-s for s in w.holes)
     sp = sign * p
+    deg = sum(fockmono)
+    # z-exponent balance: k1 - k2 - (t+1)/2 - sign*p = -m with k1 >= 0 and
+    # annihilation depth k2 <= deg, so t >= 2(m - sign*p - deg) - 1.
+    tmin = 2 * (m - sp - deg) - 1
+    modes = [t for t in own if t >= tmin]
+    modes.extend(t for t in range(-3, tmin - 1, -2) if t not in other)
+    welems = [(t, [(w2, cw.numerator) for w2, cw in welem])
+              for t in modes if (welem := act(t, w))]
+    if not welems:
+        return (), 1
+    den = fock._e_den(deg + (max(t for t, _ in welems) + 1) // 2 + sp - m)
     out = {}
-    for k2 in range(sum(fockmono) + 1):
-        ann = fock._e_coeff_monomial(sup, "-", -k2, fockmono)
-        if not ann:
-            continue
-        # z-exponent balance: k1 - k2 - (t+1)/2 - sign*p = -m with k1 >= 0.
-        tmin = 2 * (m - sp - k2) - 1
-        modes = [t for t in own if t >= tmin]
-        modes.extend(t for t in range(-3, tmin - 1, -2) if t not in other)
-        for t in modes:
-            welem = act(t, w)
-            if not welem:
-                continue
+    for k2 in range(deg + 1):
+        ann = fock._e_int_monomial(sup, "-", -k2, fockmono)
+        for t, welem in welems:
             k1 = k2 + (t + 1) // 2 + sp - m
+            if k1 < 0:
+                continue
+            lift = den // fock._e_den(k1)
             for mono1, c1 in ann:
-                for mono2, c2 in fock._e_coeff_monomial(sup, "+", k1, mono1):
+                for mono2, c2 in fock._e_int_monomial(sup, "+", k1, mono1):
+                    c = lift * c1 * c2
                     for w2, cw in welem:
-                        accumulate(out, (mono2, w2, p + sign), c1 * c2 * cw)
-    return tuple(out.items())
+                        accumulate(out, (mono2, w2, p + sign), c * cw)
+    return tuple(out.items()), den
+
+
+def _field_fractions(sign, m, fockmono, w, p):
+    terms, den = _field_basis(sign, m, fockmono, w, p)
+    return tuple((key, Fraction(c, den)) for key, c in terms)
 
 
 @lru_cache(maxsize=None)
 def _x_basis(m, fockmono, w, p):
-    return _field_basis(1, m, fockmono, w, p)
+    return _field_fractions(1, m, fockmono, w, p)
 
 
 @lru_cache(maxsize=None)
 def _y_basis(m, fockmono, w, p):
-    return _field_basis(-1, m, fockmono, w, p)
+    return _field_fractions(-1, m, fockmono, w, p)
 
 
 def x_act(m, s):
@@ -134,6 +149,74 @@ def h_act_full(n, s):
     """H(n) on V: the Fock Heisenberg for n != 0, the charge eigenvalue 2p
     for n = 0."""
     return s.map_basis(lambda key: _h_basis(n, *key))
+
+
+class Window:
+    """X(m), Y(m) and H(m) compiled for one suite run, fraction-free.
+
+    Basis keys are interned to int ids on first use, and the column of an
+    operator on an id is built once, as int numerators over one column
+    denominator (the lcm of the actual denominators for H).  A vector is
+    (nums, den): a dict id -> nonzero int over a positive int den.  The
+    columns live as long as the window.
+    """
+
+    def __init__(self):
+        self.keys = []
+        self._ids = {}
+        self._columns = {}
+
+    def _intern(self, key):
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+        return i
+
+    def vector(self, key):
+        """The basis vector of a key."""
+        return {self._intern(key): 1}, 1
+
+    def _column(self, op, m, i):
+        """op(m) on id i, op one of "X", "Y", "H": (((id, int), ...), den)."""
+        col = self._columns.get((op, m, i))
+        if col is None:
+            key = self.keys[i]
+            if op == "H":
+                terms = _h_basis(m, *key)
+                den = lcm(*(c.denominator for _, c in terms))
+                terms = [(k, c.numerator * (den // c.denominator))
+                         for k, c in terms]
+            else:
+                terms, den = _field_basis(1 if op == "X" else -1, m, *key)
+            col = self._columns[op, m, i] = (
+                tuple((self._intern(k), c) for k, c in terms), den)
+        return col
+
+    def apply(self, op, m, vec):
+        """op(m) on a vector, its columns brought to their lcm."""
+        nums, den = vec
+        cols = [(a, self._column(op, m, i)) for i, a in nums.items()]
+        lift = lcm(*(cden for _, (_, cden) in cols))
+        out = {}
+        for a, (col, cden) in cols:
+            a *= lift // cden
+            for j, c in col:
+                accumulate(out, j, a * c)
+        return out, den * lift
+
+    def residual(self, *terms):
+        """The sum of scalar * vector over (int, vector) pairs, combined as
+        one integer vector over the lcm of the denominators; returned as a
+        State, which is zero exactly when that vector is."""
+        lift = lcm(*(den for _, (_, den) in terms))
+        out = {}
+        for scalar, (nums, den) in terms:
+            scalar *= lift // den
+            for j, c in nums.items():
+                accumulate(out, j, scalar * c)
+        return State({self.keys[j]: Fraction(c, lift)
+                      for j, c in out.items()})
 
 
 def c_act(s):

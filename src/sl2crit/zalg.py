@@ -2,9 +2,10 @@
 
 On the vacuum space (trivial Fock factor) each moded Z-operator reduces to
 a single oscillator mode per charge sector, because the lattice z-power
-contributes a pure monomial.  The series definition on the full module
-(oscillator field dressed by annihilation-side exponentials) is kept as an
-independent cross-check.
+contributes a pure monomial.  On the full module a Z-operator acts on the
+vacuum-space factor alone (z_act_full).  The series definition on the full
+module (oscillator field dressed by annihilation-side exponentials) is kept
+as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -64,6 +65,25 @@ def zplus_act(m, s):
 def zminus_act(m, s):
     """Component m of the lowering Z-operator, charge down by one."""
     return _z_act("-", m, s)
+
+
+def z_act_full(sign, m, s):
+    """Component m of Z^sign on the full module, through the Heisenberg
+    factorization.
+
+    Z^sign(m) commutes with every H(n), n != 0: the exponentials that
+    dress the field in its definition cancel its Heisenberg part.  And
+    V = Fock ⊗ Ω: the key (mono, w, p) is the product of the creation
+    modes H(-n), n in mono, applied to the Heisenberg vacuum (w, p) in Ω.
+    So Z(m)(mono ⊗ ω) = mono ⊗ Z(m)ω, and Z(m)ω is the closed form
+    _z_act.  zop_via_definition computes the same map from the definition
+    and stays as the independent cross-check.
+    """
+    def on_basis(key):
+        mono, w, p = key
+        return [((mono,) + k2, c)
+                for k2, c in _z_act(sign, m, omega_basis(w, p))]
+    return s.map_basis(on_basis)
 
 
 def _pair_term(s1, s2, j1, j2, s):

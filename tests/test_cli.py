@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2crit import rep, wedge
+from sl2crit import rep, wedge, zalg
 from sl2crit.cli import ACT_SIZE_LIMIT, build_spec, main, read_config
 
 
@@ -97,6 +97,18 @@ class TestAct:
         assert code == 0
         got = rep.state_from_json(json.loads(out))
         assert got == rep.basis_state((), wedge.WedgeBasis((-3,), ()), 1, -2)
+
+    def test_zplus_at_size_limit_on_fock_state(self, capsys, tmp_path):
+        # Size 20: the factorized form leaves the Fock factor H(-1)^10 as
+        # it is; the definition took over 10 s on this input.
+        path = self._write_state(tmp_path, rep.basis_state((1,) * 10))
+        start = time.monotonic()
+        code, out, _ = run(capsys, "act", "--op", "Z+", "--m", "-10",
+                           "--state", path)
+        assert code == 0 and time.monotonic() - start < 5
+        got = rep.state_from_json(json.loads(out))
+        want = zalg.zplus_act(-10, zalg.omega_basis())
+        assert got == rep.State({((1,) * 10,) + k: c for k, c in want})
 
     def test_moded_without_mode(self, capsys, tmp_path):
         path = self._write_state(tmp_path, rep.v0())

@@ -114,6 +114,36 @@ class TestExponentialCoefficients:
                           "b7cf5251220ebbfa6d00da7de5b4238d")
 
 
+class TestIntegerView:
+    def test_scaled_table_is_integral(self):
+        # Same range as the pinned table: the scaled coefficients are ints
+        # and equal the Fraction coefficients times the denominator.
+        for f in range(9):
+            for mono in fock._partitions(f):
+                for sup in "+-":
+                    for sub, ks in (("+", range(11)),
+                                    ("-", range(0, -11, -1))):
+                        for k in ks:
+                            got = fock._e_int_monomial(sup, sub, k, mono)
+                            want = fock._e_coeff_monomial(sup, sub, k, mono)
+                            assert all(type(c) is int for _, c in got)
+                            assert [(m, Fraction(c, fock._e_den(k)))
+                                    for m, c in got] == list(want)
+
+    def test_denominators(self):
+        assert [fock._e_den(k) for k in (-3, 0, 1, 2, 3)] == [1, 1, 2, 8, 48]
+
+    def test_non_integral_scaled_value_raises(self, monkeypatch):
+        monkeypatch.setattr(fock, "_e_coeff_monomial",
+                            lambda *args: (((1,), Fraction(1, 3)),))
+        fock._e_int_monomial.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError):
+                fock._e_int_monomial("+", "+", 1, (7,))
+        finally:
+            fock._e_int_monomial.cache_clear()
+
+
 def test_monomial_canonical_form():
     assert monomial(1, 3, 1) == (3, 1, 1)
     assert fock.parse_monomial([3, 1, 1]) == (3, 1, 1)

@@ -5,7 +5,8 @@ digest.
 Failure entries are produced by patching one operator so that a small
 suite records residuals through its own recording path; one injected
 suite per residual type (wedge, Fock, full state, vacuum-space state,
-weight triple).
+weight triple), and one for the fraction-free current suite, whose
+residuals are integer vectors turned back into states.
 """
 
 import hashlib
@@ -101,6 +102,20 @@ def _inject_omega(mp):
                                             charge_bound=0))
 
 
+def _inject_current(mp):
+    orig = rep._h_basis
+
+    def h_basis(n, mono, w, p):
+        out = orig(n, mono, w, p)
+        if n == 1 and p == 1:
+            out += (((mono + (1,), w, p), Fraction(1, 3)),)
+        return out
+
+    mp.setattr(rep, "_h_basis", h_basis)
+    return harness.verify_current_relations(
+        CheckSpec(mode_bound=1, max_twice_deg=4, charge_bound=1))
+
+
 INJECTED = [
     ("wedge", _inject_wedge, 12, 12,
      "29ab4807cf030340584e6dc9ef7a77af65ca79b5b804d7dc3efe3d4ba1829839"),
@@ -110,6 +125,8 @@ INJECTED = [
      "27ee61fded6b1629de8c91ead7af7f494709e5b65f7f7cbcee4453a40e7e0d32"),
     ("omega", _inject_omega, 11, 3,
      "f3f15c07395aa0f4b32356e81ef64d94dd6fd07cce2c107f9bf7e1124f8d52ba"),
+    ("current", _inject_current, 589, 48,
+     "bf5d6ef26b8e4664e1631845b1c166222f435e7c030a34442a2857fc5b722ed6"),
 ]
 
 

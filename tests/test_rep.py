@@ -10,6 +10,7 @@ import pytest
 
 from sl2crit import fock, rep, wedge
 from sl2crit.fock import FockElement
+from sl2crit.harness import state_basis
 from sl2crit.rep import (NotAWeightVector, State, alpha0_eig, basis_state,
                          c_act, chevalley_act, d_act, h_act_full,
                          lattice_d_eig, v0, v1, weight_of, x_act, y_act)
@@ -199,6 +200,40 @@ class TestStructuralInvariants:
     def test_h0_rejected_by_fock_layer(self):
         with pytest.raises(ValueError):
             fock.h_act(0, fock.ONE)
+
+
+class TestCompiledWindow:
+    FRACTION_VIEW = {"X": rep._x_basis, "Y": rep._y_basis, "H": rep._h_basis}
+    ACT = {"X": x_act, "Y": y_act, "H": h_act_full}
+
+    def test_columns_match_fraction_fields(self):
+        # Every column built for window (4, 1) with modes -2..2, on the
+        # basis and on the images under one more operator, equals the
+        # Fraction field on its key; two-step products equal the State path.
+        win = rep.Window()
+        for key in state_basis(4, 1):
+            s = win.vector(key)
+            for a in "XYH":
+                for m in range(-2, 3):
+                    image = win.apply(a, m, s)
+                    for b in "XYH":
+                        got = win.residual((1, win.apply(b, -m, image)))
+                        want = self.ACT[b](-m,
+                                           self.ACT[a](m, State.basis(key)))
+                        assert got == want, (key, a, m, b)
+        assert len(win._columns) > 1000
+        for (op, m, i), (col, den) in win._columns.items():
+            assert type(den) is int and all(type(c) is int for _, c in col)
+            got = {win.keys[j]: Fraction(c, den) for j, c in col}
+            assert got == dict(self.FRACTION_VIEW[op](m, *win.keys[i]))
+
+    def test_residual_is_zero_exactly_when_the_vector_is(self):
+        win = rep.Window()
+        s = win.vector(((1,), wedge.VACUUM, 0))
+        half = ({i: 1 for i in s[0]}, 2)
+        assert not win.residual((2, half), (-1, s))
+        assert win.residual((1, half), (-1, s)) == basis_state(
+            (1,), wedge.VACUUM, 0, Fraction(-1, 2))
 
 
 def test_state_serialization_round_trip():

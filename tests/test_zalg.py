@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sl2crit import rep, wedge, zalg
-from sl2crit.harness import wedge_bases_up_to
+from sl2crit.harness import state_basis, wedge_bases_up_to
 from sl2crit.zalg import (NotInVacuumSpace, OmegaState, gen_commutator,
                           omega_basis, omega_embed, omega_project,
                           zminus_act, zop_via_definition, zplus_act)
@@ -143,6 +143,27 @@ class TestDefinitionEquivalence:
                     lhs = rep.h_act_full(n, zop_via_definition(sg, m, s))
                     rhs = zop_via_definition(sg, m, rep.h_act_full(n, s))
                     assert lhs == rhs, (sg, n, m)
+
+    def test_commutes_with_negative_heisenberg_modes(self):
+        # [H(n), Z(m)] = 0 for n < 0 too, which the factorization needs;
+        # the suite's H_commutes_with_Z checks only n = 1..3.
+        for key in state_basis(4, 1):
+            s = rep.State.basis(key)
+            for sg in "+-":
+                for m in range(-2, 3):
+                    for n in range(-3, 0):
+                        lhs = rep.h_act_full(n, zop_via_definition(sg, m, s))
+                        rhs = zop_via_definition(sg, m, rep.h_act_full(n, s))
+                        assert lhs == rhs, (key, sg, m, n)
+
+    def test_factorized_matches_definition_on_module(self):
+        # 1,350 checks: every basis triple of (8, 2), Fock factor or not.
+        for key in state_basis(8, 2):
+            s = rep.State.basis(key)
+            for sg in "+-":
+                for m in range(-2, 3):
+                    assert zalg.z_act_full(sg, m, s) \
+                        == zop_via_definition(sg, m, s), (key, sg, m)
 
 
 class TestVacuumSpaceMaps:
