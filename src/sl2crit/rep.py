@@ -137,12 +137,17 @@ def y_act(m, s):
     return s.map_basis(lambda key: _y_basis(m, *key))
 
 
-@lru_cache(maxsize=None)
-def _h_basis(n, fockmono, w, p):
+def _h_terms(n, fockmono, w, p):
+    """H(n) on a basis triple: ((key, Fraction), ...)."""
     if n == 0:
         return (((fockmono, w, p), Fraction(alpha0_eig(p))),)
     felem = fock.h_act(n, fock.FockElement.basis(fockmono))
     return tuple(((mono, w, p), c) for mono, c in felem)
+
+
+@lru_cache(maxsize=None)
+def _h_basis(n, fockmono, w, p):
+    return _h_terms(n, fockmono, w, p)
 
 
 def h_act_full(n, s):
@@ -156,9 +161,11 @@ class Window:
 
     Basis keys are interned to int ids on first use, and the column of an
     operator on an id is built once, as int numerators over one column
-    denominator (the lcm of the actual denominators for H).  A vector is
-    (nums, den): a dict id -> nonzero int over a positive int den.  The
-    columns live as long as the window.
+    denominator (the lcm of the actual denominators for H).  The columns
+    come from the uncached _field_basis and _h_terms, so a window adds no
+    entries to _x_basis, _y_basis or _h_basis.  A vector is (nums, den): a
+    dict id -> nonzero int over a positive int den.  The columns live as
+    long as the window.
     """
 
     def __init__(self):
@@ -183,7 +190,7 @@ class Window:
         if col is None:
             key = self.keys[i]
             if op == "H":
-                terms = _h_basis(m, *key)
+                terms = _h_terms(m, *key)
                 den = lcm(*(c.denominator for _, c in terms))
                 terms = [(k, c.numerator * (den // c.denominator))
                          for k, c in terms]

@@ -14,7 +14,7 @@ m in Z+1/2 are passed the same way, as t = 2m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import inf
 
 from .linear import LinearCombination
 
@@ -33,15 +33,24 @@ class WedgeBasis:
     holes: tuple
 
     def __post_init__(self):
-        for t in self.neg:
+        # One pass per tuple: parity and bound of each entry, and strict
+        # ascent over the entry before it (the first entry is compared with
+        # a sentinel below every valid one).  A bad entry in either tuple
+        # is reported before an order defect.
+        neg_ascending = holes_ascending = True
+        for prev, t in zip((-inf,) + self.neg, self.neg):
             if t % 2 == 0 or t > -3:
                 raise ValueError(f"bad neg entry {t}/2")
-        for t in self.holes:
+            if t <= prev:
+                neg_ascending = False
+        for prev, t in zip((1,) + self.holes, self.holes):
             if t % 2 == 0 or t < 3:
                 raise ValueError(f"bad hole entry {t}/2")
-        if tuple(sorted(self.neg)) != self.neg or len(set(self.neg)) != len(self.neg):
+            if t <= prev:
+                holes_ascending = False
+        if not neg_ascending:
             raise ValueError("neg must be strictly ascending")
-        if tuple(sorted(self.holes)) != self.holes or len(set(self.holes)) != len(self.holes):
+        if not holes_ascending:
             raise ValueError("holes must be strictly ascending")
 
     def supports(self, t):
@@ -76,21 +85,29 @@ class WedgeElement(LinearCombination):
     """Finite rational combination of wedge basis vectors."""
 
 
-def _oscillator(t, r, occupied, w):
+def flip(t, r, occupied, w):
     """(m - 1/2) times the flip of the factor u_r (doubled index r) of w,
     with m = t/2, reordered into canonical form: a removal when `occupied`,
-    an insertion otherwise; zero unless u_r is present exactly when
+    an insertion otherwise.  Returns (new wedge, int coefficient): the
+    scalar (t - 1)/2 is an integer because t is odd.  Returns None when the
+    result is zero: at t = 1, or unless u_r is present exactly when
     `occupied`."""
     if t % 2 == 0:
         raise ValueError("mode must lie in Z+1/2")
     if t == 1 or w.supports(r) != occupied:
-        return WedgeElement.zero()
-    sign = -1 if w.support_below(r) % 2 else 1
+        return None
+    c = (t - 1) // 2
+    if w.support_below(r) % 2:
+        c = -c
     if r < -1:
-        new = WedgeBasis(tuple(sorted(set(w.neg) ^ {r})), w.holes)
-    else:
-        new = WedgeBasis(w.neg, tuple(sorted(set(w.holes) ^ {r})))
-    return WedgeElement.basis(new, sign * Fraction(t - 1, 2))
+        return WedgeBasis(tuple(sorted(set(w.neg) ^ {r})), w.holes), c
+    return WedgeBasis(w.neg, tuple(sorted(set(w.holes) ^ {r}))), c
+
+
+def _oscillator(t, r, occupied, w):
+    """The WedgeElement view of flip."""
+    term = flip(t, r, occupied, w)
+    return WedgeElement.basis(*term) if term else WedgeElement.zero()
 
 
 def a_act(t, w):

@@ -11,7 +11,7 @@ as an independent cross-check.
 from __future__ import annotations
 
 from . import fock, rep, wedge
-from .linear import LinearCombination
+from .linear import LinearCombination, accumulate
 from .scalars import binom_series_coeff
 
 
@@ -43,17 +43,25 @@ def omega_project(s):
     return OmegaState(out)
 
 
-def _z_act(sign, m, s):
-    """Component m of Z^sign on the vacuum space: per charge sector p one
-    oscillator mode, A(m - p - 1/2) for '+' and A*(m + p - 1/2) for '-',
-    with the charge shifted by one in the direction of the sign."""
-    act = wedge.a_act if sign == "+" else wedge.astar_act
+def _z_basis(sign, m, key):
+    """Component m of Z^sign on a basis key (w, p) of the vacuum space:
+    one oscillator mode, A(m - p - 1/2) for '+' and A*(m + p - 1/2) for
+    '-', with the charge shifted by one in the direction of the sign.
+    Returns ((w2, p2), int coefficient), or None when the mode annihilates
+    (w, p)."""
+    w, p = key
     step = 1 if sign == "+" else -1
+    t = 2 * (m - step * p) - 1
+    term = wedge.flip(t, step * t, step < 0, w)
+    return ((term[0], p + step), term[1]) if term else None
 
+
+def _z_act(sign, m, s):
+    """Component m of Z^sign on the vacuum space, the linear extension of
+    _z_basis."""
     def on_basis(key):
-        w, p = key
-        welem = act(2 * (m - step * p) - 1, w)
-        return [((w2, p + step), c) for w2, c in welem]
+        term = _z_basis(sign, m, key)
+        return (term,) if term else ()
     return s.map_basis(on_basis)
 
 
@@ -80,15 +88,18 @@ def z_act_full(sign, m, s):
     and stays as the independent cross-check.
     """
     def on_basis(key):
-        mono, w, p = key
-        return [((mono,) + k2, c)
-                for k2, c in _z_act(sign, m, omega_basis(w, p))]
+        term = _z_basis(sign, m, key[1:])
+        return (((key[0],) + term[0], term[1]),) if term else ()
     return s.map_basis(on_basis)
 
 
-def _pair_term(s1, s2, j1, j2, s):
-    """Z^{s1}(j1) Z^{s2}(j2) applied to s."""
-    return _z_act(s1, j1, _z_act(s2, j2, s))
+def _pair_term(s1, s2, j1, j2, key):
+    """Z^{s1}(j1) Z^{s2}(j2) on a basis key (w, p): (key, int) or None."""
+    inner = _z_basis(s2, j2, key)
+    if not inner:
+        return None
+    outer = _z_basis(s1, j1, inner[0])
+    return (outer[0], outer[1] * inner[1]) if outer else None
 
 
 def _reach(sign, w, p):
@@ -119,21 +130,31 @@ def gen_commutator(s1, s2, m, n, s):
     Z^{s1}(m + k) to s first, and both vanish on every term (w, p) of s
     once n + k and m + k exceed _reach(s1, w, p), that is for
     k > max over the terms of _reach(s1, w, p) - min(m, n).
+
+    Each term on a basis key is one key times an int (_pair_term), so the
+    series is summed in ints per input key and scaled by that key's
+    coefficient once.
     """
     if s1 not in "+-" or s2 not in "+-":
         raise ValueError("signs must be '+' or '-'")
     e = 1 if s1 != s2 else -1
     kmax = 1 if e == 1 else max((_reach(s1, w, p) for (w, p), _ in s),
                                 default=-1) - min(m, n)
-    total = OmegaState.zero()
-    for k in range(kmax + 1):
-        # (1 - w/z)^e contributes (w/z)^k with weight binom_series_coeff(e, k),
-        # shifting the z-component down and the w-component up by k; the
-        # swapped product expands in z/w and shifts the other way.
-        total = total + (_pair_term(s1, s2, m - k, n + k, s)
-                         - _pair_term(s2, s1, n - k, m + k, s)).scale(
-                             binom_series_coeff(e, k))
-    return total
+    # (1 - w/z)^e contributes (w/z)^k with weight binom_series_coeff(e, k),
+    # +1 or -1 here, shifting the z-component down and the w-component up
+    # by k; the swapped product expands in z/w and shifts the other way.
+    weights = [binom_series_coeff(e, k).numerator for k in range(kmax + 1)]
+    out = {}
+    for key, c in s:
+        sums = {}
+        for k, wt in enumerate(weights):
+            for term, sg in ((_pair_term(s1, s2, m - k, n + k, key), wt),
+                             (_pair_term(s2, s1, n - k, m + k, key), -wt)):
+                if term:
+                    accumulate(sums, term[0], sg * term[1])
+        for key2, v in sums.items():
+            accumulate(out, key2, c * v)
+    return OmegaState(out)
 
 
 def _e_coeff_state(sup, sub, k, s):

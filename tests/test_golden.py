@@ -103,15 +103,15 @@ def _inject_omega(mp):
 
 
 def _inject_current(mp):
-    orig = rep._h_basis
+    orig = rep._h_terms
 
-    def h_basis(n, mono, w, p):
+    def h_terms(n, mono, w, p):
         out = orig(n, mono, w, p)
         if n == 1 and p == 1:
             out += (((mono + (1,), w, p), Fraction(1, 3)),)
         return out
 
-    mp.setattr(rep, "_h_basis", h_basis)
+    mp.setattr(rep, "_h_terms", h_terms)
     return harness.verify_current_relations(
         CheckSpec(mode_bound=1, max_twice_deg=4, charge_bound=1))
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from sl2crit import fock, rep, wedge
+from sl2crit import fock, harness, rep, wedge
 from sl2crit.fock import FockElement
-from sl2crit.harness import state_basis
+from sl2crit.harness import CheckSpec, state_basis
 from sl2crit.rep import (NotAWeightVector, State, alpha0_eig, basis_state,
                          c_act, chevalley_act, d_act, h_act_full,
                          lattice_d_eig, v0, v1, weight_of, x_act, y_act)
@@ -226,6 +226,16 @@ class TestCompiledWindow:
             assert type(den) is int and all(type(c) is int for _, c in col)
             got = {win.keys[j]: Fraction(c, den) for j, c in col}
             assert got == dict(self.FRACTION_VIEW[op](m, *win.keys[i]))
+
+    def test_current_suite_adds_no_field_cache_entries(self):
+        # The window builds its columns from the uncached bodies, so the
+        # lru_caches behind x_act, y_act and h_act_full do not grow.
+        caches = (rep._x_basis, rep._y_basis, rep._h_basis)
+        before = [f.cache_info().currsize for f in caches]
+        report = harness.verify_current_relations(
+            CheckSpec(mode_bound=1, max_twice_deg=4, charge_bound=1))
+        assert report.checks_run == 589
+        assert [f.cache_info().currsize for f in caches] == before
 
     def test_residual_is_zero_exactly_when_the_vector_is(self):
         win = rep.Window()

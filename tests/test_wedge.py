@@ -213,3 +213,7 @@ def test_invalid_bases_rejected():
         WedgeBasis((-3, -3), ())
     with pytest.raises(ValueError):
         WedgeBasis((), (4,))
+    with pytest.raises(ValueError, match="neg must be strictly ascending"):
+        WedgeBasis((-3, -5), ())
+    with pytest.raises(ValueError, match="holes must be strictly ascending"):
+        WedgeBasis((), (5, 5))

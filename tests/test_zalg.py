@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -76,27 +78,77 @@ class TestGeneralizedCommutators:
             gen_commutator("+", "x", 0, 0, omega_basis())
 
 
+SIGN_PAIRS = [("+", "-"), ("-", "+"), ("+", "+"), ("-", "-")]
+
+
+def codec_digest(states):
+    """SHA-256 of the codec output of a list of vacuum-space states."""
+    text = json.dumps([rep.state_to_json(s) for s in states], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    """Digests of gen_commutator output, so that a change of its
+    arithmetic shows up as a changed digest."""
+
+    def test_window_digest(self):
+        # All four sign pairs, wedge degree <= 4, p in [-2, 2], m, n in
+        # [-3, 3].
+        out = [gen_commutator(s1, s2, m, n, omega_basis(w, p))
+               for s1, s2 in SIGN_PAIRS
+               for w in wedge_bases_up_to(4)
+               for p in range(-2, 3)
+               for m in range(-3, 4)
+               for n in range(-3, 4)]
+        assert len(out) == 20580
+        assert codec_digest(out) == (
+            "42f5865c19b2aa8c5b118a22854ba5cc49b8d700c553a86192b5ed24c05def6d")
+
+    def test_multi_term_state_digest(self):
+        # Non-unit Fraction coefficients: linearity in the input state.
+        s = (omega_basis(wedge.WedgeBasis((), (9,)), 1, Fraction(2, 3))
+             + omega_basis(wedge.WedgeBasis((-7, -3), ()), -1,
+                           Fraction(-5, 4))
+             + omega_basis(wedge.WedgeBasis((-3,), (5,)), 0, Fraction(7, 2)))
+        out = [gen_commutator(s1, s2, m, n, s)
+               for s1, s2 in SIGN_PAIRS
+               for m in range(-3, 4)
+               for n in range(-3, 4)]
+        assert sum(map(len, out)) > 0
+        assert codec_digest(out) == (
+            "d30bf7618aa2240c33ecec3210ce595e6c16909e4f407f21d2dba639b6891a7e")
+
+
 class TestExactTermination:
     """A same-sign series ends at k = max _reach - min(m, n): every later
     term applies a mode above the reach first."""
 
     @staticmethod
-    def tail_is_zero(sg, m, n, s, kmax):
-        return not any(zalg._pair_term(sg, sg, m - k, n + k, s)
-                       or zalg._pair_term(sg, sg, n - k, m + k, s)
+    def pair_on_state(sg, j1, j2, s):
+        """Z^sg(j1) Z^sg(j2) on the state s, as a dict without zeros."""
+        out = {}
+        for key, c in s:
+            term = zalg._pair_term(sg, sg, j1, j2, key)
+            if term:
+                out[term[0]] = out.get(term[0], 0) + c * term[1]
+        return {key: c for key, c in out.items() if c}
+
+    @staticmethod
+    def tail_is_zero(sg, m, n, key, kmax):
+        return not any(zalg._pair_term(sg, sg, m - k, n + k, key)
+                       or zalg._pair_term(sg, sg, n - k, m + k, key)
                        for k in range(kmax + 1, kmax + 9))
 
     def test_terms_past_the_bound_vanish_on_window(self):
         cases = 0
         for w in wedge_bases_up_to(4):
             for p in range(-2, 3):
-                s = omega_basis(w, p)
                 for sg in "+-":
                     kmax0 = zalg._reach(sg, w, p)
                     for m in range(-3, 4):
                         for n in range(-3, 4):
                             assert self.tail_is_zero(
-                                sg, m, n, s, kmax0 - min(m, n)), \
+                                sg, m, n, (w, p), kmax0 - min(m, n)), \
                                 (sg, w, p, m, n)
                             cases += 1
         assert cases == 10290
@@ -112,10 +164,11 @@ class TestExactTermination:
             for m in range(-3, 4):
                 for n in range(-3, 4):
                     kmax = max(reaches) - min(m, n)
-                    assert self.tail_is_zero(sg, m, n, s, kmax)
+                    assert all(self.tail_is_zero(sg, m, n, key, kmax)
+                               for key, _ in s)
                     # The last term kept is not zero: the bound is attained.
-                    assert (zalg._pair_term(sg, sg, m - kmax, n + kmax, s)
-                            or zalg._pair_term(sg, sg, n - kmax, m + kmax, s))
+                    assert (self.pair_on_state(sg, m - kmax, n + kmax, s)
+                            or self.pair_on_state(sg, n - kmax, m + kmax, s))
 
 
 class TestDefinitionEquivalence:
