@@ -81,9 +81,9 @@ def _field_basis(sign, m, fockmono, w, p):
     K that occurs.
     """
     if sign > 0:
-        sup, act, own, other = "+", wedge.a_act, w.holes, w.neg
+        sup, own, other = "+", w.holes, w.neg
     else:
-        sup, act = "-", wedge.astar_act
+        sup = "-"
         own = tuple(-s for s in w.neg)
         other = tuple(-s for s in w.holes)
     sp = sign * p
@@ -93,24 +93,23 @@ def _field_basis(sign, m, fockmono, w, p):
     tmin = 2 * (m - sp - deg) - 1
     modes = [t for t in own if t >= tmin]
     modes.extend(t for t in range(-3, tmin - 1, -2) if t not in other)
-    welems = [(t, [(w2, cw.numerator) for w2, cw in welem])
-              for t in modes if (welem := act(t, w))]
+    # A(m) is the flip of u_t, A*(m) the flip of u_{-t}: one wedge each.
+    welems = [(t, *term) for t in modes
+              if (term := wedge.flip(t, sign * t, sign < 0, w))]
     if not welems:
         return (), 1
-    den = fock._e_den(deg + (max(t for t, _ in welems) + 1) // 2 + sp - m)
+    den = fock._e_den(deg + (max(t for t, _, _ in welems) + 1) // 2 + sp - m)
     out = {}
     for k2 in range(deg + 1):
         ann = fock._e_int_monomial(sup, "-", -k2, fockmono)
-        for t, welem in welems:
+        for t, w2, cw in welems:
             k1 = k2 + (t + 1) // 2 + sp - m
             if k1 < 0:
                 continue
             lift = den // fock._e_den(k1)
             for mono1, c1 in ann:
                 for mono2, c2 in fock._e_int_monomial(sup, "+", k1, mono1):
-                    c = lift * c1 * c2
-                    for w2, cw in welem:
-                        accumulate(out, (mono2, w2, p + sign), c * cw)
+                    accumulate(out, (mono2, w2, p + sign), lift * c1 * c2 * cw)
     return tuple(out.items()), den
 
 

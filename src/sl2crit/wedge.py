@@ -13,13 +13,13 @@ m in Z+1/2 are passed the same way, as t = 2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 
 from .linear import LinearCombination
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WedgeBasis:
     """Finite encoding of a semi-infinite wedge.
 
@@ -27,10 +27,14 @@ class WedgeBasis:
          each <= -3 (value < -1/2).
     holes: ascending tuple of doubled indices of the omitted positive
          factors, each >= 3 (value > 1/2).
+
+    The hash, the one a frozen dataclass would compute, is computed once:
+    basis wedges are dict keys in every linear combination.
     """
 
     neg: tuple
     holes: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # One pass per tuple: parity and bound of each entry, and strict
@@ -52,6 +56,10 @@ class WedgeBasis:
             raise ValueError("neg must be strictly ascending")
         if not holes_ascending:
             raise ValueError("holes must be strictly ascending")
+        object.__setattr__(self, "_hash", hash((self.neg, self.holes)))
+
+    def __hash__(self):
+        return self._hash
 
     def supports(self, t):
         """Is the odd doubled index t in the support of this wedge?"""

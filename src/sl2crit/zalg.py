@@ -10,6 +10,10 @@ as an independent cross-check.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+
 from . import fock, rep, wedge
 from .linear import LinearCombination, accumulate
 from .scalars import binom_series_coeff
@@ -43,6 +47,14 @@ def omega_project(s):
     return OmegaState(out)
 
 
+# Entries kept by the _z_basis cache.  The suites apply the same
+# one-oscillator flips across all their (m, n) pairs and sign pairs: at
+# window (3,3,2), 4,994 distinct (sign, mode, key) triples serve 73,864
+# calls.
+Z_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=Z_CACHE_SIZE)
 def _z_basis(sign, m, key):
     """Component m of Z^sign on a basis key (w, p) of the vacuum space:
     one oscillator mode, A(m - p - 1/2) for '+' and A*(m + p - 1/2) for
@@ -157,42 +169,46 @@ def gen_commutator(s1, s2, m, n, s):
     return OmegaState(out)
 
 
-def _e_coeff_state(sup, sub, k, s):
-    """Exponential-operator coefficient acting on the Fock factor of a full
-    state."""
-    def on_basis(key):
-        mono, w, p = key
-        return [((mono2, w, p), c)
-                for mono2, c in fock._e_coeff_monomial(sup, sub, k, mono)]
-    return s.map_basis(on_basis)
-
-
-def _mode_cap(sgn, s):
-    """Bound on the field modes with a nonzero action on some term of s."""
-    return max(sum(mono) + _reach(sgn, w, p) for (mono, w, p), _ in s)
-
-
 def zop_via_definition(sgn, m, s):
     """Coefficient of z^{-m} of the dressed field defining the Z-operator
     on the full module: annihilation-side exponentials around X (for '+')
-    or Y (for '-'), evaluated as an exact triple convolution."""
+    or Y (for '-'), evaluated as an exact triple convolution.
+
+    On a key (mono, w, p) the annihilation coefficient at depth b gives
+    Fock monomials mono1 with int coefficients; the field component
+    j = m + a - b (z-balance a - b - j = -m) on (mono1, w, p) gives ints
+    over its own denominator; and the creation coefficient at z^a gives
+    ints over fock._e_den(a).  Field components above
+    sum(mono1) + _reach(sgn, w, p) vanish on (mono1, w, p): every
+    oscillator mode that acts there would need a negative creation power
+    in the z-balance of rep._field_basis, as Z^sgn does above _reach.
+    The sum over (b, mono1, a) is taken in ints over the lcm of the
+    denominators and scaled by the key's coefficient once.
+    """
     if sgn not in "+-":
         raise ValueError("sign must be '+' or '-'")
     sup = "-" if sgn == "+" else "+"
-    field = rep.x_act if sgn == "+" else rep.y_act
-    total = rep.State.zero()
-    bmax = max([sum(mono) for (mono, _, _), _ in s], default=0)
-    for b in range(bmax + 1):
-        inner = _e_coeff_state(sup, "-", -b, s)
-        if not inner:
-            continue
-        cap = _mode_cap(sgn, inner)
-        # z-balance: a - b - j = -m for the field component j = m + a - b;
-        # components above `cap` annihilate every term of `inner`.
-        for a in range(0, cap - m + b + 1):
-            mid = field(m + a - b, inner)
-            if not mid:
-                continue
-            total = total + _e_coeff_state(sup, "+", a, mid)
-    return total
-
+    sign = 1 if sgn == "+" else -1
+    out = {}
+    for (mono, w, p), c in s:
+        parts = {}  # denominator -> {key: int}
+        for b in range(sum(mono) + 1):
+            for mono1, c1 in fock._e_int_monomial(sup, "-", -b, mono):
+                cap = sum(mono1) + _reach(sgn, w, p)
+                for a in range(cap - m + b + 1):
+                    terms, den = rep._field_basis(sign, m + a - b, mono1, w, p)
+                    if not terms:
+                        continue
+                    part = parts.setdefault(den * fock._e_den(a), {})
+                    for (mono2, w2, p2), c2 in terms:
+                        for mono3, c3 in fock._e_int_monomial(sup, "+", a,
+                                                              mono2):
+                            accumulate(part, (mono3, w2, p2), c1 * c2 * c3)
+        lift = lcm(*parts)
+        sums = {}
+        for den, part in parts.items():
+            for key, v in part.items():
+                accumulate(sums, key, v * (lift // den))
+        for key, v in sums.items():
+            accumulate(out, key, c * Fraction(v, lift))
+    return rep.State(out)

@@ -82,7 +82,7 @@ SIGN_PAIRS = [("+", "-"), ("-", "+"), ("+", "+"), ("-", "-")]
 
 
 def codec_digest(states):
-    """SHA-256 of the codec output of a list of vacuum-space states."""
+    """SHA-256 of the codec output of a list of states."""
     text = json.dumps([rep.state_to_json(s) for s in states], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -197,17 +197,31 @@ class TestDefinitionEquivalence:
                     rhs = zop_via_definition(sg, m, rep.h_act_full(n, s))
                     assert lhs == rhs, (sg, n, m)
 
-    def test_commutes_with_negative_heisenberg_modes(self):
-        # [H(n), Z(m)] = 0 for n < 0 too, which the factorization needs;
-        # the suite's H_commutes_with_Z checks only n = 1..3.
+    @staticmethod
+    def commutes_with_heisenberg_on_window(ns):
+        """Check [H(n), Z(m)] = 0 for n in ns on every basis triple of
+        (4, 1), both signs and m in [-2, 2]; return the number of checks
+        whose sides are nonzero."""
+        nonzero = 0
         for key in state_basis(4, 1):
             s = rep.State.basis(key)
             for sg in "+-":
                 for m in range(-2, 3):
-                    for n in range(-3, 0):
+                    for n in ns:
                         lhs = rep.h_act_full(n, zop_via_definition(sg, m, s))
                         rhs = zop_via_definition(sg, m, rep.h_act_full(n, s))
                         assert lhs == rhs, (key, sg, m, n)
+                        nonzero += bool(lhs)
+        return nonzero
+
+    def test_commutes_with_negative_heisenberg_modes(self):
+        # [H(n), Z(m)] = 0 for n < 0 too, which the factorization needs.
+        assert self.commutes_with_heisenberg_on_window(range(-3, 0)) > 0
+
+    def test_commutes_with_positive_heisenberg_modes(self):
+        # The suite's H_commutes_with_Z runs on vacuum-space states, where
+        # both sides vanish; here H(n), n = 1..3, meets a Fock factor.
+        assert self.commutes_with_heisenberg_on_window(range(1, 4)) > 0
 
     def test_factorized_matches_definition_on_module(self):
         # 1,350 checks: every basis triple of (8, 2), Fock factor or not.
@@ -217,6 +231,41 @@ class TestDefinitionEquivalence:
                 for m in range(-2, 3):
                     assert zalg.z_act_full(sg, m, s) \
                         == zop_via_definition(sg, m, s), (key, sg, m)
+
+
+class TestPinnedDefinition:
+    """Digests of zop_via_definition output, so that a change of its
+    arithmetic shows up as a changed digest."""
+
+    def test_module_window_digest(self):
+        # Every basis triple of (8, 2), both signs, m in [-2, 2].
+        out = [zop_via_definition(sg, m, rep.State.basis(key))
+               for key in state_basis(8, 2)
+               for sg in "+-"
+               for m in range(-2, 3)]
+        assert len(out) == 1350
+        assert codec_digest(out) == (
+            "8830db6bc2c6ee0543201440b55f3cfda60071951866b75ea429ef262beb9e83")
+
+    def test_multi_term_state_digest(self):
+        # Non-unit Fraction coefficients on states with a Fock factor:
+        # linearity in the input state.
+        s = (rep.basis_state((2, 1), wedge.WedgeBasis((), (5,)), 1,
+                             Fraction(2, 3))
+             + rep.basis_state((3,), wedge.WedgeBasis((-7, -3), ()), -1,
+                               Fraction(-5, 4))
+             + rep.basis_state((1, 1), wedge.WedgeBasis((-3,), (5,)), 0,
+                               Fraction(7, 2)))
+        out = [zop_via_definition(sg, m, s)
+               for sg in "+-"
+               for m in range(-3, 4)]
+        assert sum(map(len, out)) > 0
+        assert codec_digest(out) == (
+            "7bbccf67b55bbba79d57127d8c69196ea17275d6b852060a7fece34a7ee8956e")
+
+
+def test_z_basis_cache_is_bounded():
+    assert zalg._z_basis.cache_info().maxsize is not None
 
 
 class TestVacuumSpaceMaps:
