@@ -10,8 +10,7 @@ identity can be verified with zero tolerance on explicit bases.
 
 from .scalars import binom_series_coeff, contraction_coeff
 from .fock import FockElement, ONE, e_coeff, h_act, monomial
-from .wedge import (VACUUM, WedgeBasis, WedgeElement, a_act, astar_act,
-                    normal_ordered_pair)
+from .wedge import VACUUM, WedgeBasis, WedgeElement, a_act, astar_act
 from .rep import (NotAWeightVector, State, WeightTriple, alpha0_eig,
                   basis_state, c_act, chevalley_act, d_act, h_act_full,
                   lattice_d_eig, v0, v1, weight_of, x_act, y_act)
@@ -26,7 +25,7 @@ __all__ = [
     "binom_series_coeff", "contraction_coeff",
     "FockElement", "ONE", "e_coeff", "h_act", "monomial",
     "WedgeBasis", "WedgeElement", "VACUUM", "a_act", "astar_act",
-    "normal_ordered_pair", "alpha0_eig", "lattice_d_eig",
+    "alpha0_eig", "lattice_d_eig",
     "State", "WeightTriple", "NotAWeightVector", "basis_state", "v0", "v1",
     "x_act", "y_act", "h_act_full", "c_act", "d_act", "chevalley_act",
     "weight_of",

@@ -52,18 +52,18 @@ def _partitions(n, distinct=False):
 
 
 def _h_act_monomial(n, mono):
-    """H(n) on a single monomial, as a list of (monomial, coeff) pairs."""
+    """H(n) on a single monomial, as a list of (monomial, int) pairs."""
     if n == 0:
         raise ValueError("H(0) does not act on the Fock factor")
     if n < 0:
-        return [(tuple(sorted(mono + (-n,), reverse=True)), Fraction(1))]
+        return [(tuple(sorted(mono + (-n,), reverse=True)), 1)]
     # H(n), n > 0: -4n times the formal derivative in the part n.
     k = mono.count(n)
     if k == 0:
         return []
     reduced = list(mono)
     reduced.remove(n)
-    return [(tuple(reduced), Fraction(-4 * n * k))]
+    return [(tuple(reduced), -4 * n * k)]
 
 
 def h_act(n, v):
@@ -87,7 +87,7 @@ def _e_coeff_monomial(sup, sub, k, mono):
     E(z) = exp(sum_{n>=1} a_n z^{±n}) with commuting n a_n = sign H(∓n)/2.
     Each E_j is computed once through the cache; the depth is |k|.
     """
-    if sup not in "+-" or sub not in "+-":
+    if sup not in ("+", "-") or sub not in ("+", "-"):
         raise ValueError("sup and sub must be '+' or '-'")
     if sub == "+" and k < 0:
         raise ValueError("creation exponential has no negative z-powers")

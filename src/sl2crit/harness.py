@@ -353,14 +353,13 @@ def verify_z_suite(spec):
     eq_cap = min(cap, 4)
     for w in wedge_bases_up_to(eq_cap):
         for p in range(-P, P + 1):
-            s = zalg.omega_basis(w, p)
-            emb = zalg.omega_embed(s)
+            emb = zalg.omega_embed(zalg.omega_basis(w, p))
             label = _basis_label((w, p))
             for m in range(-M, M + 1):
                 for sg in "+-":
                     z = zalg.zop_via_definition(sg, m, emb)
                     report.check("definition_vs_closed_form", [sg, m], label,
-                                 z - zalg.omega_embed(zalg._z_act(sg, m, s)))
+                                 z - zalg.z_act_full(sg, m, emb))
                     for n in range(1, 4):
                         report.check("H_commutes_with_Z", [sg, m, n], label,
                                      rep.h_act_full(n, z)
@@ -459,8 +458,9 @@ def d_homogeneity_probe(spec):
         for m in range(-spec.mode_bound, spec.mode_bound + 1):
             for name, op in [("X", rep.x_act), ("Y", rep.y_act),
                              ("H", rep.h_act_full)]:
-                res = (rep.d_act(op(m, s)) - op(m, rep.d_act(s))
-                       - op(m, s).scale(m))
+                image = op(m, s)
+                res = (rep.d_act(image) - op(m, rep.d_act(s))
+                       - image.scale(m))
                 entry = stats.setdefault((name, p), [0, 0])
                 entry[0] += 1
                 if res:

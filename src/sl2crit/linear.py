@@ -8,6 +8,7 @@ exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class LinearCombination:
@@ -105,3 +106,16 @@ def accumulate(target, key, coeff):
         target[key] = s
     else:
         target.pop(key, None)
+
+
+def combine(terms):
+    """The sum of scalar * vector over (scalar, (pairs, den)) terms, each
+    vector given as (key, int) pairs over a positive int den: one dict
+    key -> nonzero int over the lcm of the denominators, as (dict, lcm)."""
+    lift = lcm(*(den for _, (_, den) in terms))
+    out = {}
+    for scalar, (pairs, den) in terms:
+        scalar *= lift // den
+        for key, c in pairs:
+            accumulate(out, key, scalar * c)
+    return out, lift

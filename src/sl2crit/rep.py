@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 
 from . import fock, wedge
-from .linear import LinearCombination, accumulate
+from .linear import LinearCombination, accumulate, combine
 
 
 class State(LinearCombination):
@@ -113,58 +111,46 @@ def _field_basis(sign, m, fockmono, w, p):
     return tuple(out.items()), den
 
 
-def _field_fractions(sign, m, fockmono, w, p):
-    terms, den = _field_basis(sign, m, fockmono, w, p)
-    return tuple((key, Fraction(c, den)) for key, c in terms)
-
-
-@lru_cache(maxsize=None)
-def _x_basis(m, fockmono, w, p):
-    return _field_fractions(1, m, fockmono, w, p)
-
-
-@lru_cache(maxsize=None)
-def _y_basis(m, fockmono, w, p):
-    return _field_fractions(-1, m, fockmono, w, p)
+def _field_act(sign, m, s):
+    """X(m) (sign +1) or Y(m) (sign -1) on a State: the linear extension
+    of _field_basis."""
+    def on_basis(key):
+        terms, den = _field_basis(sign, m, *key)
+        return ((key2, Fraction(c, den)) for key2, c in terms)
+    return s.map_basis(on_basis)
 
 
 def x_act(m, s):
-    return s.map_basis(lambda key: _x_basis(m, *key))
+    return _field_act(1, m, s)
 
 
 def y_act(m, s):
-    return s.map_basis(lambda key: _y_basis(m, *key))
+    return _field_act(-1, m, s)
 
 
 def _h_terms(n, fockmono, w, p):
-    """H(n) on a basis triple: ((key, Fraction), ...)."""
+    """H(n) on a basis triple: ((key, nonzero int), ...).  The coefficient
+    is 1 for n < 0, -4nk for n > 0 and 2p for n = 0."""
     if n == 0:
-        return (((fockmono, w, p), Fraction(alpha0_eig(p))),)
-    felem = fock.h_act(n, fock.FockElement.basis(fockmono))
-    return tuple(((mono, w, p), c) for mono, c in felem)
-
-
-@lru_cache(maxsize=None)
-def _h_basis(n, fockmono, w, p):
-    return _h_terms(n, fockmono, w, p)
+        return (((fockmono, w, p), alpha0_eig(p)),) if p else ()
+    return tuple(((mono, w, p), c)
+                 for mono, c in fock._h_act_monomial(n, fockmono))
 
 
 def h_act_full(n, s):
     """H(n) on V: the Fock Heisenberg for n != 0, the charge eigenvalue 2p
     for n = 0."""
-    return s.map_basis(lambda key: _h_basis(n, *key))
+    return s.map_basis(lambda key: _h_terms(n, *key))
 
 
 class Window:
     """X(m), Y(m) and H(m) compiled for one suite run, fraction-free.
 
     Basis keys are interned to int ids on first use, and the column of an
-    operator on an id is built once, as int numerators over one column
-    denominator (the lcm of the actual denominators for H).  The columns
-    come from the uncached _field_basis and _h_terms, so a window adds no
-    entries to _x_basis, _y_basis or _h_basis.  A vector is (nums, den): a
-    dict id -> nonzero int over a positive int den.  The columns live as
-    long as the window.
+    operator on an id is built once from _field_basis or _h_terms, as int
+    numerators over one column denominator (1 for H).  A vector is
+    (nums, den): a dict id -> nonzero int over a positive int den.  The
+    columns live as long as the window.
     """
 
     def __init__(self):
@@ -189,10 +175,7 @@ class Window:
         if col is None:
             key = self.keys[i]
             if op == "H":
-                terms = _h_terms(m, *key)
-                den = lcm(*(c.denominator for _, c in terms))
-                terms = [(k, c.numerator * (den // c.denominator))
-                         for k, c in terms]
+                terms, den = _h_terms(m, *key), 1
             else:
                 terms, den = _field_basis(1 if op == "X" else -1, m, *key)
             col = self._columns[op, m, i] = (
@@ -202,25 +185,16 @@ class Window:
     def apply(self, op, m, vec):
         """op(m) on a vector, its columns brought to their lcm."""
         nums, den = vec
-        cols = [(a, self._column(op, m, i)) for i, a in nums.items()]
-        lift = lcm(*(cden for _, (_, cden) in cols))
-        out = {}
-        for a, (col, cden) in cols:
-            a *= lift // cden
-            for j, c in col:
-                accumulate(out, j, a * c)
+        out, lift = combine([(a, self._column(op, m, i))
+                             for i, a in nums.items()])
         return out, den * lift
 
     def residual(self, *terms):
         """The sum of scalar * vector over (int, vector) pairs, combined as
         one integer vector over the lcm of the denominators; returned as a
         State, which is zero exactly when that vector is."""
-        lift = lcm(*(den for _, (_, den) in terms))
-        out = {}
-        for scalar, (nums, den) in terms:
-            scalar *= lift // den
-            for j, c in nums.items():
-                accumulate(out, j, scalar * c)
+        out, lift = combine([(a, (nums.items(), den))
+                             for a, (nums, den) in terms])
         return State({self.keys[j]: Fraction(c, lift)
                       for j, c in out.items()})
 

@@ -140,27 +140,6 @@ def apply_mode(kind, t, elem):
     return elem.map_basis(lambda w: act(t, w))
 
 
-def normal_ordered_pair(akind, t, bkind, u, w):
-    """:a(m)b(n): on a basis wedge, for doubled modes t = 2m, u = 2n --
-    plain composition for m < 0, the negated swapped composition for
-    m > 0."""
-    if akind not in _ACTIONS or bkind not in _ACTIONS:
-        raise ValueError("operator kind must be 'A' or 'A*'")
-    if t < 0:
-        inner = _ACTIONS[bkind](u, w)
-        return apply_mode(akind, t, inner)
-    inner = _ACTIONS[akind](t, w)
-    return -apply_mode(bkind, u, inner)
-
-
-def contraction_check(akind, t, bkind, u, w):
-    """a(m)b(n) - :a(m)b(n): on a basis wedge, for doubled modes t = 2m,
-    u = 2n; scalar times w when the pair is an (A, A*) pair at opposite
-    modes, zero otherwise."""
-    plain = apply_mode(akind, t, _ACTIONS[bkind](u, w))
-    return plain - normal_ordered_pair(akind, t, bkind, u, w)
-
-
 def serialize_basis(w):
     return {
         "neg": [f"{t}/2" for t in w.neg],

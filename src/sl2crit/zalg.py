@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import fock, rep, wedge
-from .linear import LinearCombination, accumulate
+from .linear import LinearCombination, accumulate, combine
 from .scalars import binom_series_coeff
 
 
@@ -68,41 +67,36 @@ def _z_basis(sign, m, key):
     return ((term[0], p + step), term[1]) if term else None
 
 
-def _z_act(sign, m, s):
-    """Component m of Z^sign on the vacuum space, the linear extension of
-    _z_basis."""
+def z_act_full(sign, m, s):
+    """Component m of Z^sign on a State or an OmegaState: the linear
+    extension of _z_basis to keys that end in (w, p).
+
+    On the vacuum space this is the closed form.  On the full module it is
+    the Heisenberg factorization: Z^sign(m) commutes with every H(n),
+    n != 0, because the exponentials that dress the field in its
+    definition cancel its Heisenberg part.  And V = Fock ⊗ Ω: the key
+    (mono, w, p) is the product of the creation modes H(-n), n in mono,
+    applied to the Heisenberg vacuum (w, p) in Ω.  So
+    Z(m)(mono ⊗ ω) = mono ⊗ Z(m)ω.  zop_via_definition computes the same
+    map from the definition and stays as the independent cross-check.
+    """
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+
     def on_basis(key):
-        term = _z_basis(sign, m, key)
-        return (term,) if term else ()
+        term = _z_basis(sign, m, key[-2:])
+        return ((key[:-2] + term[0], term[1]),) if term else ()
     return s.map_basis(on_basis)
 
 
 def zplus_act(m, s):
     """Component m of the raising Z-operator, charge up by one."""
-    return _z_act("+", m, s)
+    return z_act_full("+", m, s)
 
 
 def zminus_act(m, s):
     """Component m of the lowering Z-operator, charge down by one."""
-    return _z_act("-", m, s)
-
-
-def z_act_full(sign, m, s):
-    """Component m of Z^sign on the full module, through the Heisenberg
-    factorization.
-
-    Z^sign(m) commutes with every H(n), n != 0: the exponentials that
-    dress the field in its definition cancel its Heisenberg part.  And
-    V = Fock ⊗ Ω: the key (mono, w, p) is the product of the creation
-    modes H(-n), n in mono, applied to the Heisenberg vacuum (w, p) in Ω.
-    So Z(m)(mono ⊗ ω) = mono ⊗ Z(m)ω, and Z(m)ω is the closed form
-    _z_act.  zop_via_definition computes the same map from the definition
-    and stays as the independent cross-check.
-    """
-    def on_basis(key):
-        term = _z_basis(sign, m, key[1:])
-        return (((key[0],) + term[0], term[1]),) if term else ()
-    return s.map_basis(on_basis)
+    return z_act_full("-", m, s)
 
 
 def _pair_term(s1, s2, j1, j2, key):
@@ -147,7 +141,7 @@ def gen_commutator(s1, s2, m, n, s):
     series is summed in ints per input key and scaled by that key's
     coefficient once.
     """
-    if s1 not in "+-" or s2 not in "+-":
+    if s1 not in ("+", "-") or s2 not in ("+", "-"):
         raise ValueError("signs must be '+' or '-'")
     e = 1 if s1 != s2 else -1
     kmax = 1 if e == 1 else max((_reach(s1, w, p) for (w, p), _ in s),
@@ -183,15 +177,16 @@ def zop_via_definition(sgn, m, s):
     oscillator mode that acts there would need a negative creation power
     in the z-balance of rep._field_basis, as Z^sgn does above _reach.
     The sum over (b, mono1, a) is taken in ints over the lcm of the
-    denominators and scaled by the key's coefficient once.
+    denominators (linear.combine) and scaled by the key's coefficient
+    once.
     """
-    if sgn not in "+-":
+    if sgn not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     sup = "-" if sgn == "+" else "+"
     sign = 1 if sgn == "+" else -1
     out = {}
     for (mono, w, p), c in s:
-        parts = {}  # denominator -> {key: int}
+        parts = []
         for b in range(sum(mono) + 1):
             for mono1, c1 in fock._e_int_monomial(sup, "-", -b, mono):
                 cap = sum(mono1) + _reach(sgn, w, p)
@@ -199,16 +194,12 @@ def zop_via_definition(sgn, m, s):
                     terms, den = rep._field_basis(sign, m + a - b, mono1, w, p)
                     if not terms:
                         continue
-                    part = parts.setdefault(den * fock._e_den(a), {})
-                    for (mono2, w2, p2), c2 in terms:
-                        for mono3, c3 in fock._e_int_monomial(sup, "+", a,
-                                                              mono2):
-                            accumulate(part, (mono3, w2, p2), c1 * c2 * c3)
-        lift = lcm(*parts)
-        sums = {}
-        for den, part in parts.items():
-            for key, v in part.items():
-                accumulate(sums, key, v * (lift // den))
+                    image = [((mono3, w2, p2), c2 * c3)
+                             for (mono2, w2, p2), c2 in terms
+                             for mono3, c3 in fock._e_int_monomial(sup, "+",
+                                                                   a, mono2)]
+                    parts.append((c1, (image, den * fock._e_den(a))))
+        sums, lift = combine(parts)
         for key, v in sums.items():
             accumulate(out, key, c * Fraction(v, lift))
     return rep.State(out)

@@ -4,13 +4,16 @@ series oracle: each tensor factor is expanded as a truncated formal series
 field mode by mode, the lattice z-power literally) and the z-coefficient
 is extracted from the triple convolution."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from sl2crit import fock, harness, rep, wedge
+import sl2crit
+from sl2crit import fock, rep, wedge
 from sl2crit.fock import FockElement
-from sl2crit.harness import CheckSpec, state_basis
+from sl2crit.harness import state_basis
 from sl2crit.rep import (NotAWeightVector, State, alpha0_eig, basis_state,
                          c_act, chevalley_act, d_act, h_act_full,
                          lattice_d_eig, v0, v1, weight_of, x_act, y_act)
@@ -203,13 +206,12 @@ class TestStructuralInvariants:
 
 
 class TestCompiledWindow:
-    FRACTION_VIEW = {"X": rep._x_basis, "Y": rep._y_basis, "H": rep._h_basis}
     ACT = {"X": x_act, "Y": y_act, "H": h_act_full}
 
     def test_columns_match_fraction_fields(self):
         # Every column built for window (4, 1) with modes -2..2, on the
         # basis and on the images under one more operator, equals the
-        # Fraction field on its key; two-step products equal the State path.
+        # State action on its key; two-step products equal the State path.
         win = rep.Window()
         for key in state_basis(4, 1):
             s = win.vector(key)
@@ -225,17 +227,7 @@ class TestCompiledWindow:
         for (op, m, i), (col, den) in win._columns.items():
             assert type(den) is int and all(type(c) is int for _, c in col)
             got = {win.keys[j]: Fraction(c, den) for j, c in col}
-            assert got == dict(self.FRACTION_VIEW[op](m, *win.keys[i]))
-
-    def test_current_suite_adds_no_field_cache_entries(self):
-        # The window builds its columns from the uncached bodies, so the
-        # lru_caches behind x_act, y_act and h_act_full do not grow.
-        caches = (rep._x_basis, rep._y_basis, rep._h_basis)
-        before = [f.cache_info().currsize for f in caches]
-        report = harness.verify_current_relations(
-            CheckSpec(mode_bound=1, max_twice_deg=4, charge_bound=1))
-        assert report.checks_run == 589
-        assert [f.cache_info().currsize for f in caches] == before
+            assert got == self.ACT[op](m, State.basis(win.keys[i])).terms
 
     def test_residual_is_zero_exactly_when_the_vector_is(self):
         win = rep.Window()
@@ -244,6 +236,21 @@ class TestCompiledWindow:
         assert not win.residual((2, half), (-1, s))
         assert win.residual((1, half), (-1, s)) == basis_state(
             (1,), wedge.VACUUM, 0, Fraction(-1, 2))
+
+
+def test_cached_functions_are_the_exponential_tables_and_z_basis():
+    # The field kernels are uncached; the only caches are the partition
+    # and exponential tables in fock and the Z kernel, whose bound
+    # test_zalg checks.
+    cached = set()
+    for info in pkgutil.iter_modules(sl2crit.__path__):
+        mod = importlib.import_module(f"sl2crit.{info.name}")
+        cached.update(f"{info.name}.{name}"
+                      for name, obj in vars(mod).items()
+                      if hasattr(obj, "cache_info")
+                      and obj.__module__ == mod.__name__)
+    assert cached == {"fock._partitions", "fock._e_coeff_monomial",
+                      "fock._e_int_monomial", "zalg._z_basis"}
 
 
 def test_state_serialization_round_trip():

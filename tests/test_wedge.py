@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2crit import wedge
-from sl2crit.wedge import (VACUUM, WedgeBasis, WedgeElement, a_act, astar_act,
-                           contraction_check, normal_ordered_pair)
-from sl2crit.scalars import contraction_coeff
+from sl2crit.wedge import VACUUM, WedgeBasis, WedgeElement, a_act, astar_act
 
 TAIL = 41  # doubled cutoff for explicit words; beyond it nothing is touched
 
@@ -168,31 +166,6 @@ class TestInvariants:
         from sl2crit.harness import wedge_bases_of_degree
         for k in range(order + 1):
             assert len(wedge_bases_of_degree(k)) == poly[k]
-
-
-class TestNormalOrdering:
-    def test_positive_mode_branch_vanishes(self):
-        got = normal_ordered_pair("A", 1, "A*", -1, VACUUM)
-        assert got.is_zero()
-
-    def test_negative_mode_branch_is_composition(self):
-        w = WedgeBasis((), (3,))
-        got = normal_ordered_pair("A", -3, "A*", 3, w)
-        want = wedge.apply_mode("A", -3, astar_act(3, w))
-        assert got == want
-
-    def test_contraction_matches_scalar(self):
-        for w in small_bases(3):
-            v = WedgeElement.basis(w)
-            for tm in range(-7, 8, 2):
-                for tn in range(-7, 8, 2):
-                    got = contraction_check("A", tm, "A*", tn, w)
-                    assert got == v.scale(contraction_coeff(tm, tn)), \
-                        (tm, tn, w)
-
-    def test_contraction_on_vacuum_example(self):
-        got = contraction_check("A", 3, "A*", -3, VACUUM)
-        assert got == WedgeElement.basis(VACUUM, -2)
 
 
 def test_serialization_round_trip():

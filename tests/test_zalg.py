@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2crit import rep, wedge, zalg
+from sl2crit import fock, rep, wedge, zalg
 from sl2crit.harness import state_basis, wedge_bases_up_to
 from sl2crit.zalg import (NotInVacuumSpace, OmegaState, gen_commutator,
                           omega_basis, omega_embed, omega_project,
@@ -262,6 +262,20 @@ class TestPinnedDefinition:
         assert sum(map(len, out)) > 0
         assert codec_digest(out) == (
             "7bbccf67b55bbba79d57127d8c69196ea17275d6b852060a7fece34a7ee8956e")
+
+
+@pytest.mark.parametrize("bad", ["", "+-", "x"])
+@pytest.mark.parametrize("call", [
+    lambda sg: fock.e_coeff(sg, "+", 1, fock.ONE),
+    lambda sg: gen_commutator(sg, "+", 0, 0, omega_basis()),
+    lambda sg: zop_via_definition(sg, 0, rep.v0()),
+    lambda sg: zalg.z_act_full(sg, 0, rep.v0()),
+], ids=["e_coeff", "gen_commutator", "zop_via_definition", "z_act_full"])
+def test_sign_outside_plus_minus_rejected(call, bad):
+    # "" and "+-" are substrings of "+-", so only a membership test in
+    # ("+", "-") rejects them.
+    with pytest.raises(ValueError):
+        call(bad)
 
 
 def test_z_basis_cache_is_bounded():
