@@ -73,8 +73,7 @@ def build_spec(suite, args, config):
             changes[key] = int(config[key])
         if getattr(args, key, None) is not None:
             changes[key] = getattr(args, key)
-    return dataclasses.replace(SUITE_DEFAULTS.get(suite, CheckSpec()),
-                               **changes)
+    return dataclasses.replace(SUITE_DEFAULTS[suite], **changes)
 
 
 def write_artifact(outdir, name, text):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linear import LinearCombination, accumulate
+from .linear import LinearCombination, accumulate, combine
 
 # A Fock monomial is a tuple of positive integer parts, sorted descending;
 # part n stands for one factor H(-n).  The empty tuple is the vacuum 1.
@@ -73,40 +73,6 @@ def h_act(n, v):
     return v.map_basis(lambda mono: _h_act_monomial(n, mono))
 
 
-@lru_cache(maxsize=None)
-def _e_coeff_monomial(sup, sub, k, mono):
-    """z^k coefficient of the exponential operator applied to a monomial.
-
-    Returns a tuple of (monomial, coeff) pairs.  sup/sub are '+' or '-',
-    naming the superscript and subscript of the operator: subscript '+' is
-    the creation exponential exp(∓ sum H(-n)/2n z^n), subscript '-' the
-    annihilation exponential exp(± sum H(n)/2n z^-n), with the sign read
-    off the superscript.
-
-    Both follow from |k| E_k = sum_{n=1..|k|} n a_n E_{k∓n}, the recursion for
-    E(z) = exp(sum_{n>=1} a_n z^{±n}) with commuting n a_n = sign H(∓n)/2.
-    Each E_j is computed once through the cache; the depth is |k|.
-    """
-    if sup not in ("+", "-") or sub not in ("+", "-"):
-        raise ValueError("sup and sub must be '+' or '-'")
-    if sub == "+" and k < 0:
-        raise ValueError("creation exponential has no negative z-powers")
-    if sub == "-" and k > 0:
-        raise ValueError("annihilation exponential has no positive z-powers")
-    if k == 0:
-        return ((mono, Fraction(1)),)
-
-    sign = -1 if sup == sub else 1
-    step = 1 if k > 0 else -1
-    out = {}
-    for n in range(1, abs(k) + 1):
-        for m2, c2 in _e_coeff_monomial(sup, sub, k - step * n, mono):
-            for m3, c3 in _h_act_monomial(-step * n, m2):
-                accumulate(out, m3, c2 * c3)
-    scale = Fraction(sign, 2 * abs(k))
-    return tuple((m, c * scale) for m, c in out.items())
-
-
 def _e_den(k):
     """Denominator that clears the z^k coefficients of the exponentials:
     2^k k! for a creation power k > 0, 1 for an annihilation power.
@@ -121,23 +87,53 @@ def _e_den(k):
 
 
 @lru_cache(maxsize=None)
-def _e_int_monomial(sup, sub, k, mono):
-    """`_e_coeff_monomial` times _e_den(k), as ((monomial, int), ...);
-    raises ArithmeticError if a scaled coefficient is not an integer."""
+def _e_coeff_monomial(sup, sub, k, mono):
+    """z^k coefficient of the exponential operator applied to a monomial,
+    times _e_den(k): a tuple of (monomial, int) pairs.
+
+    sup/sub are '+' or '-', naming the superscript and subscript of the
+    operator: subscript '+' is the creation exponential
+    exp(∓ sum H(-n)/2n z^n), subscript '-' the annihilation exponential
+    exp(± sum H(n)/2n z^-n), with the sign read off the superscript.
+
+    Both follow from |k| E_k = sum_{n=1..|k|} n a_n E_{k∓n}, the recursion for
+    E(z) = exp(sum_{n>=1} a_n z^{±n}) with commuting n a_n = sign H(∓n)/2,
+    run on the scaled ints: term n is lifted by _e_den(k) // _e_den(k∓n),
+    and the sum is divided by 2|k|, raising ArithmeticError unless exact.
+    Each E_j is computed once through the cache; the depth is |k|.
+    """
+    if sup not in ("+", "-") or sub not in ("+", "-"):
+        raise ValueError("sup and sub must be '+' or '-'")
+    if sub == "+" and k < 0:
+        raise ValueError("creation exponential has no negative z-powers")
+    if sub == "-" and k > 0:
+        raise ValueError("annihilation exponential has no positive z-powers")
+    if k == 0:
+        return ((mono, 1),)
+
+    sign = -1 if sup == sub else 1
+    step = 1 if k > 0 else -1
     den = _e_den(k)
-    out = []
-    for m, c in _e_coeff_monomial(sup, sub, k, mono):
-        c *= den
-        if c.denominator != 1:
-            raise ArithmeticError(f"E^{sup}_{sub} coefficient at z^{k} on "
-                                  f"{mono} times {den} is {c}")
-        out.append((m, c.numerator))
-    return tuple(out)
+    out = {}
+    for n in range(1, abs(k) + 1):
+        lift = den // _e_den(k - step * n)
+        for m2, c2 in _e_coeff_monomial(sup, sub, k - step * n, mono):
+            for m3, c3 in _h_act_monomial(-step * n, m2):
+                accumulate(out, m3, lift * c2 * c3)
+    rows = [(m, *divmod(sign * c, 2 * abs(k))) for m, c in out.items()]
+    if any(r for _, _, r in rows):
+        raise ArithmeticError(f"E^{sup}_{sub} coefficient at z^{k} on "
+                              f"{mono} times {den} is not an integer")
+    return tuple((m, q) for m, q, _ in rows)
 
 
 def e_coeff(sup, sub, k, v):
-    """Coefficient of z^k of the chosen exponential operator applied to v."""
-    return v.map_basis(lambda mono: _e_coeff_monomial(sup, sub, k, mono))
+    """Coefficient of z^k of the chosen exponential operator applied to v:
+    the table's ints over _e_den(k), summed in ints by linear.combine."""
+    sums, lift = combine([(c.numerator, (_e_coeff_monomial(sup, sub, k, mono),
+                                         c.denominator * _e_den(k)))
+                          for mono, c in v])
+    return type(v)({m: Fraction(c, lift) for m, c in sums.items()})
 
 
 def parse_monomial(data):

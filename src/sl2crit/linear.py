@@ -20,7 +20,7 @@ class LinearCombination:
         clean = {}
         if terms:
             for key, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if coeff:
                     clean[key] = coeff
         object.__setattr__(self, "terms", clean)

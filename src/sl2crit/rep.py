@@ -99,14 +99,14 @@ def _field_basis(sign, m, fockmono, w, p):
     den = fock._e_den(deg + (max(t for t, _, _ in welems) + 1) // 2 + sp - m)
     out = {}
     for k2 in range(deg + 1):
-        ann = fock._e_int_monomial(sup, "-", -k2, fockmono)
+        ann = fock._e_coeff_monomial(sup, "-", -k2, fockmono)
         for t, w2, cw in welems:
             k1 = k2 + (t + 1) // 2 + sp - m
             if k1 < 0:
                 continue
             lift = den // fock._e_den(k1)
             for mono1, c1 in ann:
-                for mono2, c2 in fock._e_int_monomial(sup, "+", k1, mono1):
+                for mono2, c2 in fock._e_coeff_monomial(sup, "+", k1, mono1):
                     accumulate(out, (mono2, w2, p + sign), lift * c1 * c2 * cw)
     return tuple(out.items()), den
 
@@ -279,8 +279,10 @@ def state_from_json(data, cls=State):
         coeff, charge = term["coeff"], term["charge"]
         if type(coeff) not in (int, str) or type(charge) is not int:
             raise ValueError(f"bad coeff or charge in {term!r}")
+        # "n" or "n/d" by int(): Fraction("1e100000000") builds 10**100000000.
+        num, slash, den = str(coeff).partition("/")
         try:
-            coeff = Fraction(coeff)
+            coeff = Fraction(int(num), int(den) if slash else 1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {term!r}") from None
         key = (wedge.parse_basis(term["wedge"]), charge)

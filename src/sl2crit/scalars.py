@@ -1,10 +1,11 @@
 """Exact scalar arithmetic: series coefficients and the oscillator pairing
 scalar.
 
-All coefficients in the library are `fractions.Fraction`; nothing here is
-ever floating point.  Oscillator modes in Z+1/2 are passed as their doubled
-value t (an odd int), as `wedge.WedgeBasis` stores its indices, so that
-index arithmetic stays in plain machine integers.
+Every kernel and cached table holds ints; `Fraction`s appear only as the
+coefficients of combinations and the scalars that scale them, as here.
+Nothing is ever floating point.  Oscillator modes in Z+1/2 are passed as
+their doubled value t (an odd int), as `wedge.WedgeBasis` stores its
+indices, so that index arithmetic stays in plain machine integers.
 """
 
 from __future__ import annotations

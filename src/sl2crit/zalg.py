@@ -188,7 +188,7 @@ def zop_via_definition(sgn, m, s):
     for (mono, w, p), c in s:
         parts = []
         for b in range(sum(mono) + 1):
-            for mono1, c1 in fock._e_int_monomial(sup, "-", -b, mono):
+            for mono1, c1 in fock._e_coeff_monomial(sup, "-", -b, mono):
                 cap = sum(mono1) + _reach(sgn, w, p)
                 for a in range(cap - m + b + 1):
                     terms, den = rep._field_basis(sign, m + a - b, mono1, w, p)
@@ -196,8 +196,8 @@ def zop_via_definition(sgn, m, s):
                         continue
                     image = [((mono3, w2, p2), c2 * c3)
                              for (mono2, w2, p2), c2 in terms
-                             for mono3, c3 in fock._e_int_monomial(sup, "+",
-                                                                   a, mono2)]
+                             for mono3, c3 in fock._e_coeff_monomial(
+                                 sup, "+", a, mono2)]
                     parts.append((c1, (image, den * fock._e_den(a))))
         sums, lift = combine(parts)
         for key, v in sums.items():

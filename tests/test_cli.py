@@ -138,10 +138,11 @@ class TestAct:
         {"wedge": {"neg": [], "holes": ["3/1"]}},
         {"wedge": {"neg": [], "holes": ["1.5"]}},
         {"wedge": {"neg": [], "holes": ["3/2/2"]}},
+        {"coeff": "1e3"}, {"coeff": "0.5"},
     ], ids=["fock-str", "fock-float", "coeff-zero-den", "charge-float",
             "charge-bool", "wedge-int-label", "wedge-label-quarter",
             "wedge-label-even", "wedge-label-over-one", "wedge-label-decimal",
-            "wedge-label-two-slashes"])
+            "wedge-label-two-slashes", "coeff-exponent", "coeff-decimal"])
     def test_malformed_term_is_usage_error(self, capsys, tmp_path, change):
         term = {**rep.state_to_json(rep.v0())["terms"][0], **change}
         self._check_malformed(capsys, tmp_path, {"terms": [term]})
@@ -167,6 +168,18 @@ class TestAct:
         assert time.monotonic() - start < 5
         assert code == 2 and not out
         assert "100000" in err and str(ACT_SIZE_LIMIT) in err
+
+    def test_exponent_coefficient_is_usage_error(self, capsys, tmp_path):
+        # Fraction("1e100000000") would build 10**100000000.
+        term = {**rep.state_to_json(rep.v0())["terms"][0],
+                "coeff": "1e100000000"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"terms": [term]}))
+        start = time.monotonic()
+        code, out, err = run(capsys, "act", "--op", "d", "--state", str(bad))
+        assert time.monotonic() - start < 5
+        assert code == 2 and not out
+        assert "cannot read state" in err
 
     def test_size_limit_is_inclusive(self, capsys, tmp_path):
         path = self._write_state(tmp_path, rep.v0())

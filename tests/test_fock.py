@@ -107,7 +107,8 @@ class TestExponentialCoefficients:
                         for k in ks:
                             terms = fock._e_coeff_monomial(sup, sub, k, mono)
                             rows.append([sup, sub, k, list(mono), sorted(
-                                [list(m), str(c)] for m, c in terms)])
+                                [list(m), str(Fraction(c, fock._e_den(k)))]
+                                for m, c in terms)])
         assert len(rows) == 2948
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == ("993007ad95fcad560c0dde2834a9899e"
@@ -116,32 +117,48 @@ class TestExponentialCoefficients:
 
 class TestIntegerView:
     def test_scaled_table_is_integral(self):
-        # Same range as the pinned table: the scaled coefficients are ints
-        # and equal the Fraction coefficients times the denominator.
+        # Same range as the pinned table: every scaled coefficient is an
+        # int.
         for f in range(9):
             for mono in fock._partitions(f):
                 for sup in "+-":
                     for sub, ks in (("+", range(11)),
                                     ("-", range(0, -11, -1))):
                         for k in ks:
-                            got = fock._e_int_monomial(sup, sub, k, mono)
-                            want = fock._e_coeff_monomial(sup, sub, k, mono)
+                            got = fock._e_coeff_monomial(sup, sub, k, mono)
                             assert all(type(c) is int for _, c in got)
-                            assert [(m, Fraction(c, fock._e_den(k)))
-                                    for m, c in got] == list(want)
 
     def test_denominators(self):
         assert [fock._e_den(k) for k in (-3, 0, 1, 2, 3)] == [1, 1, 2, 8, 48]
 
     def test_non_integral_scaled_value_raises(self, monkeypatch):
-        monkeypatch.setattr(fock, "_e_coeff_monomial",
-                            lambda *args: (((1,), Fraction(1, 3)),))
-        fock._e_int_monomial.cache_clear()
+        # With every H(n) sending a monomial to H(-1) times 1, the z^-1
+        # annihilation sum is 1, which 2|k| = 2 does not divide.
+        monkeypatch.setattr(fock, "_h_act_monomial",
+                            lambda n, mono: [((1,), 1)])
+        fock._e_coeff_monomial.cache_clear()
         try:
             with pytest.raises(ArithmeticError):
-                fock._e_int_monomial("+", "+", 1, (7,))
+                fock._e_coeff_monomial("+", "-", -1, (7,))
         finally:
-            fock._e_int_monomial.cache_clear()
+            fock._e_coeff_monomial.cache_clear()
+
+    @pytest.mark.parametrize("sub", "+-")
+    @pytest.mark.parametrize("sup", "+-")
+    def test_fraction_view_is_linear(self, sup, sub):
+        # Coefficients with denominators 3, 4 and 2 against the termwise
+        # sum of the table rows over _e_den(k).
+        coeffs = {(): Fraction(2, 3), (2, 1): Fraction(-5, 4),
+                  (3,): Fraction(7, 2)}
+        v = FockElement(coeffs)
+        for k in range(1, 5):
+            k = k if sub == "+" else -k
+            want = {}
+            for mono, c in coeffs.items():
+                for m, c2 in fock._e_coeff_monomial(sup, sub, k, mono):
+                    want[m] = want.get(m, 0) + c * Fraction(
+                        c2, fock._e_den(k))
+            assert e_coeff(sup, sub, k, v) == FockElement(want)
 
 
 def test_monomial_canonical_form():

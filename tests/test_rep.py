@@ -250,7 +250,7 @@ def test_cached_functions_are_the_exponential_tables_and_z_basis():
                       if hasattr(obj, "cache_info")
                       and obj.__module__ == mod.__name__)
     assert cached == {"fock._partitions", "fock._e_coeff_monomial",
-                      "fock._e_int_monomial", "zalg._z_basis"}
+                      "zalg._z_basis"}
 
 
 def test_state_serialization_round_trip():
