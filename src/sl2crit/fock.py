@@ -9,11 +9,10 @@ z-power at a time.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linear import LinearCombination, accumulate, combine
+from .linear import LinearCombination, accumulate
 
 # A Fock monomial is a tuple of positive integer parts, sorted descending;
 # part n stands for one factor H(-n).  The empty tuple is the vacuum 1.
@@ -70,7 +69,7 @@ def h_act(n, v):
     """Action of the Heisenberg mode H(n), n != 0, on a Fock element."""
     if n == 0:
         raise ValueError("H(0) does not act on the Fock factor")
-    return v.map_basis(lambda mono: _h_act_monomial(n, mono))
+    return v.map_basis(lambda mono: (_h_act_monomial(n, mono), 1))
 
 
 def _e_den(k):
@@ -129,11 +128,10 @@ def _e_coeff_monomial(sup, sub, k, mono):
 
 def e_coeff(sup, sub, k, v):
     """Coefficient of z^k of the chosen exponential operator applied to v:
-    the table's ints over _e_den(k), summed in ints by linear.combine."""
-    sums, lift = combine([(c.numerator, (_e_coeff_monomial(sup, sub, k, mono),
-                                         c.denominator * _e_den(k)))
-                          for mono, c in v])
-    return type(v)({m: Fraction(c, lift) for m, c in sums.items()})
+    the linear extension of the table's ints over _e_den(k)."""
+    den = _e_den(k)
+    return v.map_basis(lambda mono: (_e_coeff_monomial(sup, sub, k, mono),
+                                     den))
 
 
 def parse_monomial(data):

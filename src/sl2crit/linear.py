@@ -77,12 +77,16 @@ class LinearCombination:
         return type(self)({k: c * scalar for k, c in self.terms.items()})
 
     def map_basis(self, fn):
-        """Apply a linear map given on basis keys: fn(key) -> combination."""
-        out = {}
+        """Apply a linear map given by an integer kernel on basis keys:
+        fn(key) -> (((key2, int), ...), den), den a positive int.  The
+        images are summed in ints by one `combine` and divided once per
+        output term."""
+        parts = []
         for key, c in self.terms.items():
-            for key2, c2 in fn(key):
-                accumulate(out, key2, c * c2)
-        return type(self)(out)
+            pairs, den = fn(key)
+            parts.append((c.numerator, (pairs, c.denominator * den)))
+        sums, lift = combine(parts)
+        return type(self)({k: Fraction(v, lift) for k, v in sums.items()})
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
@@ -112,7 +116,7 @@ def combine(terms):
     """The sum of scalar * vector over (scalar, (pairs, den)) terms, each
     vector given as (key, int) pairs over a positive int den: one dict
     key -> nonzero int over the lcm of the denominators, as (dict, lcm)."""
-    lift = lcm(*(den for _, (_, den) in terms))
+    lift = lcm(*[den for _, (_, den) in terms])
     out = {}
     for scalar, (pairs, den) in terms:
         scalar *= lift // den

@@ -111,21 +111,12 @@ def _field_basis(sign, m, fockmono, w, p):
     return tuple(out.items()), den
 
 
-def _field_act(sign, m, s):
-    """X(m) (sign +1) or Y(m) (sign -1) on a State: the linear extension
-    of _field_basis."""
-    def on_basis(key):
-        terms, den = _field_basis(sign, m, *key)
-        return ((key2, Fraction(c, den)) for key2, c in terms)
-    return s.map_basis(on_basis)
-
-
 def x_act(m, s):
-    return _field_act(1, m, s)
+    return s.map_basis(lambda key: _field_basis(1, m, *key))
 
 
 def y_act(m, s):
-    return _field_act(-1, m, s)
+    return s.map_basis(lambda key: _field_basis(-1, m, *key))
 
 
 def _h_terms(n, fockmono, w, p):
@@ -140,7 +131,7 @@ def _h_terms(n, fockmono, w, p):
 def h_act_full(n, s):
     """H(n) on V: the Fock Heisenberg for n != 0, the charge eigenvalue 2p
     for n = 0."""
-    return s.map_basis(lambda key: _h_terms(n, *key))
+    return s.map_basis(lambda key: (_h_terms(n, *key), 1))
 
 
 class Window:
@@ -210,7 +201,10 @@ def term_d_eig(fockmono, w, p):
 
 
 def d_act(s):
-    return s.map_basis(lambda key: (((key), term_d_eig(*key)),))
+    def on_basis(key):
+        eig = term_d_eig(*key)
+        return ((key, eig.numerator),), eig.denominator
+    return s.map_basis(on_basis)
 
 
 def chevalley_act(g, s):

@@ -112,22 +112,24 @@ def flip(t, r, occupied, w):
     return WedgeBasis(w.neg, tuple(sorted(set(w.holes) ^ {r}))), c
 
 
-def _oscillator(t, r, occupied, w):
-    """The WedgeElement view of flip."""
+def _mode_terms(kind, t, w):
+    """A(m) ("A") or A*(m) ("A*"), m = t/2, on a basis wedge: the
+    (wedge, int) pairs of flip, at most one."""
+    r, occupied = {"A": (t, False), "A*": (-t, True)}[kind]
     term = flip(t, r, occupied, w)
-    return WedgeElement.basis(*term) if term else WedgeElement.zero()
+    return (term,) if term else ()
 
 
 def a_act(t, w):
     """Oscillator A(m), m = t/2: (m - 1/2) u_m ^ w, reordered into canonical
     form."""
-    return _oscillator(t, t, False, w)
+    return WedgeElement(dict(_mode_terms("A", t, w)))
 
 
 def astar_act(t, w):
     """Oscillator A*(m), m = t/2: (m - 1/2) times removal of the factor
     u_{-m}."""
-    return _oscillator(t, -t, True, w)
+    return WedgeElement(dict(_mode_terms("A*", t, w)))
 
 
 # Kind -> basis action, looked up when called.
@@ -135,9 +137,8 @@ _ACTIONS = {"A": lambda t, w: a_act(t, w), "A*": lambda t, w: astar_act(t, w)}
 
 
 def apply_mode(kind, t, elem):
-    """Linear extension of a_act / astar_act to a WedgeElement."""
-    act = _ACTIONS[kind]
-    return elem.map_basis(lambda w: act(t, w))
+    """Linear extension of _mode_terms to a WedgeElement."""
+    return elem.map_basis(lambda w: (_mode_terms(kind, t, w), 1))
 
 
 def serialize_basis(w):

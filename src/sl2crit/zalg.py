@@ -10,12 +10,10 @@ as an independent cross-check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import fock, rep, wedge
 from .linear import LinearCombination, accumulate, combine
-from .scalars import binom_series_coeff
 
 
 class OmegaState(LinearCombination):
@@ -85,7 +83,7 @@ def z_act_full(sign, m, s):
 
     def on_basis(key):
         term = _z_basis(sign, m, key[-2:])
-        return ((key[:-2] + term[0], term[1]),) if term else ()
+        return ((key[:-2] + term[0], term[1]),) if term else (), 1
     return s.map_basis(on_basis)
 
 
@@ -138,29 +136,31 @@ def gen_commutator(s1, s2, m, n, s):
     k > max over the terms of _reach(s1, w, p) - min(m, n).
 
     Each term on a basis key is one key times an int (_pair_term), so the
-    series is summed in ints per input key and scaled by that key's
-    coefficient once.
+    kernel on a basis key is the series summed in ints, and the result is
+    its linear extension.
     """
     if s1 not in ("+", "-") or s2 not in ("+", "-"):
         raise ValueError("signs must be '+' or '-'")
-    e = 1 if s1 != s2 else -1
-    kmax = 1 if e == 1 else max((_reach(s1, w, p) for (w, p), _ in s),
-                                default=-1) - min(m, n)
     # (1 - w/z)^e contributes (w/z)^k with weight binom_series_coeff(e, k),
-    # +1 or -1 here, shifting the z-component down and the w-component up
-    # by k; the swapped product expands in z/w and shifts the other way.
-    weights = [binom_series_coeff(e, k).numerator for k in range(kmax + 1)]
-    out = {}
-    for key, c in s:
+    # shifting the z-component down and the w-component up by k; the
+    # swapped product expands in z/w and shifts the other way.  That weight
+    # is 1, -1 for e = +1 (opposite signs) and 1 for every k when e = -1.
+    if s1 != s2:
+        weights = [1, -1]
+    else:
+        kmax = max((_reach(s1, w, p) for (w, p), _ in s),
+                   default=-1) - min(m, n)
+        weights = [1] * (kmax + 1)
+
+    def on_basis(key):
         sums = {}
         for k, wt in enumerate(weights):
             for term, sg in ((_pair_term(s1, s2, m - k, n + k, key), wt),
                              (_pair_term(s2, s1, n - k, m + k, key), -wt)):
                 if term:
                     accumulate(sums, term[0], sg * term[1])
-        for key2, v in sums.items():
-            accumulate(out, key2, c * v)
-    return OmegaState(out)
+        return sums.items(), 1
+    return s.map_basis(on_basis)
 
 
 def zop_via_definition(sgn, m, s):
@@ -176,16 +176,17 @@ def zop_via_definition(sgn, m, s):
     sum(mono1) + _reach(sgn, w, p) vanish on (mono1, w, p): every
     oscillator mode that acts there would need a negative creation power
     in the z-balance of rep._field_basis, as Z^sgn does above _reach.
-    The sum over (b, mono1, a) is taken in ints over the lcm of the
-    denominators (linear.combine) and scaled by the key's coefficient
-    once.
+    The kernel on a key is the sum over (b, mono1, a), taken in ints over
+    the lcm of the denominators (linear.combine), and the result is its
+    linear extension.
     """
     if sgn not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     sup = "-" if sgn == "+" else "+"
     sign = 1 if sgn == "+" else -1
-    out = {}
-    for (mono, w, p), c in s:
+
+    def on_basis(key):
+        mono, w, p = key
         parts = []
         for b in range(sum(mono) + 1):
             for mono1, c1 in fock._e_coeff_monomial(sup, "-", -b, mono):
@@ -200,6 +201,5 @@ def zop_via_definition(sgn, m, s):
                                  sup, "+", a, mono2)]
                     parts.append((c1, (image, den * fock._e_den(a))))
         sums, lift = combine(parts)
-        for key, v in sums.items():
-            accumulate(out, key, c * Fraction(v, lift))
-    return rep.State(out)
+        return sums.items(), lift
+    return s.map_basis(on_basis)

@@ -56,6 +56,16 @@ class TestSuitesSmall:
                                      charge_bound=1))
         assert r.passed
 
+    def test_zalg_runs_the_window_it_is_given(self):
+        # Mode bound 4 lies above the suite's default of 3.
+        small = verify_z_suite(CheckSpec(mode_bound=3, wedge_deg_cap=1,
+                                         charge_bound=0))
+        r = verify_z_suite(CheckSpec(mode_bound=4, wedge_deg_cap=1,
+                                     charge_bound=0))
+        assert r.passed
+        assert r.params["mode_bound"] == 4
+        assert r.checks_run > small.checks_run
+
     def test_reports_deterministic(self):
         spec = CheckSpec(mode_bound=2, wedge_deg_cap=3)
         a = json.dumps(verify_clifford(spec).to_json(), sort_keys=True)

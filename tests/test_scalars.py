@@ -15,10 +15,11 @@ def mul_series(a, b, order):
 
 
 class TestBinomSeriesCoeff:
+    # zalg.gen_commutator uses these two series as the int weights
+    # 1, -1 (opposite signs) and 1, 1, ... (equal signs).
     def test_finite_binomial(self):
-        assert binom_series_coeff(1, 0) == 1
-        assert binom_series_coeff(1, 1) == -1
-        assert binom_series_coeff(1, 2) == 0
+        assert [binom_series_coeff(1, k) for k in range(10)] \
+            == [1, -1] + [0] * 8
 
     def test_geometric(self):
         for k in range(10):
