@@ -15,14 +15,16 @@ from pathlib import Path
 from . import harness, rep, zalg
 from .harness import ALL_SUITES, CheckSpec
 
+# Each command's default window; its keys are exactly the CheckSpec fields
+# that the command reads.
 SUITE_DEFAULTS = {
-    "character": CheckSpec(max_twice_deg=12),
-    "clifford": CheckSpec(mode_bound=5, wedge_deg_cap=8),
-    "current": CheckSpec(mode_bound=4, max_twice_deg=10, charge_bound=2),
-    "exp": CheckSpec(mode_bound=6, max_twice_deg=12),
-    "hwv": CheckSpec(),
-    "zalg": CheckSpec(mode_bound=3, wedge_deg_cap=5, charge_bound=2),
-    "probe-d": CheckSpec(mode_bound=2, max_twice_deg=6, charge_bound=2),
+    "character": {"max_twice_deg": 12},
+    "clifford": {"mode_bound": 5, "wedge_deg_cap": 8},
+    "current": {"mode_bound": 4, "max_twice_deg": 10, "charge_bound": 2},
+    "exp": {"mode_bound": 6, "max_twice_deg": 12},
+    "hwv": {},
+    "zalg": {"mode_bound": 3, "wedge_deg_cap": 5, "charge_bound": 2},
+    "probe-d": {"mode_bound": 2, "max_twice_deg": 6, "charge_bound": 2},
 }
 
 # Operator name -> (takes --m, action on (m, state)).  The actions look
@@ -64,25 +66,27 @@ def read_config(path):
     return out
 
 
-def build_spec(suite, args, config):
+def build_spec(suite, args, config, names=()):
     """The suite's default window, overridden by the config, overridden by
-    the command line."""
-    changes = {}
-    for key in SPEC_KEYS:
-        if key in config:
-            changes[key] = int(config[key])
-        if getattr(args, key, None) is not None:
-            changes[key] = getattr(args, key)
-    return dataclasses.replace(SUITE_DEFAULTS[suite], **changes)
+    the command line.  A field set there that neither the suite nor any of
+    `names` (the suites of the same run) reads is a usage error; the suite
+    gets the fields it reads."""
+    given = {key: int(value) for key, value in config.items()}
+    given.update((key, getattr(args, key)) for key in SPEC_KEYS
+                 if getattr(args, key, None) is not None)
+    reads = SUITE_DEFAULTS[suite]
+    unread = set(given).difference(reads, *map(SUITE_DEFAULTS.get, names))
+    if unread:
+        raise ValueError(f"{suite} does not read {', '.join(sorted(unread))}")
+    return CheckSpec(**{key: given.get(key, value)
+                        for key, value in reads.items()})
 
 
 def write_artifact(outdir, name, text):
-    """Write `name` under `outdir`; nothing when no --out was given."""
-    if not outdir:
-        return
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / name).write_text(text)
+    """Write `name` under `outdir`, which main has created; nothing when no
+    --out was given."""
+    if outdir:
+        (Path(outdir) / name).write_text(text)
 
 
 def cmd_verify(args, config):
@@ -92,7 +96,7 @@ def cmd_verify(args, config):
         return 2
     all_passed = True
     for name in names:
-        spec = build_spec(name, args, config)
+        spec = build_spec(name, args, config, names)
         report = ALL_SUITES[name](spec)
         payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
         write_artifact(args.out, f"report_{name}.json", payload)
@@ -178,8 +182,8 @@ def make_parser():
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(run=cmd_character)
 
-    p = sub.add_parser("act", help="apply one operator to a state file",
-                       parents=[common])
+    p = sub.add_parser("act", help="apply one operator to a state file")
+    p.add_argument("--out", help="directory for the result")
     p.add_argument("--op", required=True, choices=sorted(OPS))
     p.add_argument("--m", type=int)
     p.add_argument("--state", required=True, help="state JSON file")
@@ -207,15 +211,17 @@ def main(argv=None):
         parser.print_help()
         return 2
     config = {}
-    if args.config:
+    if getattr(args, "config", None):
         try:
             config = read_config(args.config)
         except (OSError, ValueError) as exc:
             print(f"bad config: {exc}", file=sys.stderr)
             return 2
     try:
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.run(args, config)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

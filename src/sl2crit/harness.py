@@ -426,7 +426,7 @@ def character(max_twice_deg):
         "Omega": rows(counts_omega, formula_omega),
         "counts_by_charge": {f"{p}:{td}": c
                              for (p, td), c in sorted(counts_by_charge.items())},
-        "notes": CONVENTION_NOTES,
+        "notes": list(CONVENTION_NOTES),
     }
 
 

@@ -71,29 +71,21 @@ def _field_basis(sign, m, fockmono, w, p):
     Both fields are an oscillator dressed by the two exponentials and a
     lattice shift by sign*alpha: X uses A and the '+' exponentials, Y uses
     A* and the '-' ones.  The oscillator modes that act nontrivially are
-    the `own` perturbations (holes for A, negated extra negatives for A*)
-    and every t <= -3 not in `other` (extra negatives for A, negated
-    holes for A*).  Annihilation coefficients and the oscillator scalars
-    (t-1)/2 are integers, and the creation coefficient at z^k is one over
+    among wedge.own_modes and the t <= -3, and wedge.flip rejects the rest.
+    Annihilation coefficients and the oscillator scalars (t-1)/2 are
+    integers, and the creation coefficient at z^k is one over
     fock._e_den(k), so den = fock._e_den(K) for the largest creation power
     K that occurs.
     """
-    if sign > 0:
-        sup, own, other = "+", w.holes, w.neg
-    else:
-        sup = "-"
-        own = tuple(-s for s in w.neg)
-        other = tuple(-s for s in w.holes)
+    sup = "+" if sign > 0 else "-"
     sp = sign * p
     deg = sum(fockmono)
     # z-exponent balance: k1 - k2 - (t+1)/2 - sign*p = -m with k1 >= 0 and
     # annihilation depth k2 <= deg, so t >= 2(m - sign*p - deg) - 1.
     tmin = 2 * (m - sp - deg) - 1
-    modes = [t for t in own if t >= tmin]
-    modes.extend(t for t in range(-3, tmin - 1, -2) if t not in other)
-    # A(m) is the flip of u_t, A*(m) the flip of u_{-t}: one wedge each.
-    welems = [(t, *term) for t in modes
-              if (term := wedge.flip(t, sign * t, sign < 0, w))]
+    modes = [t for t in wedge.own_modes(sign, w) if t >= tmin]
+    modes.extend(range(-3, tmin - 1, -2))
+    welems = [(t, *term) for t in modes if (term := wedge.flip(sign, t, w))]
     if not welems:
         return (), 1
     den = fock._e_den(deg + (max(t for t, _, _ in welems) + 1) // 2 + sp - m)

@@ -13,41 +13,38 @@ m in Z+1/2 are passed the same way, as t = 2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import inf
+from operator import itemgetter
 
 from .linear import LinearCombination
 
 
-@dataclass(frozen=True, slots=True)
-class WedgeBasis:
-    """Finite encoding of a semi-infinite wedge.
+class WedgeBasis(tuple):
+    """Finite encoding of a semi-infinite wedge: the tuple (neg, holes).
 
     neg: ascending tuple of doubled indices of the extra included factors,
          each <= -3 (value < -1/2).
     holes: ascending tuple of doubled indices of the omitted positive
          factors, each >= 3 (value > 1/2).
 
-    The hash, the one a frozen dataclass would compute, is computed once:
-    basis wedges are dict keys in every linear combination.
+    Basis wedges are dict keys in every linear combination; as a tuple a
+    wedge hashes and compares in C.
     """
 
-    neg: tuple
-    holes: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, neg, holes):
         # One pass per tuple: parity and bound of each entry, and strict
         # ascent over the entry before it (the first entry is compared with
         # a sentinel below every valid one).  A bad entry in either tuple
         # is reported before an order defect.
         neg_ascending = holes_ascending = True
-        for prev, t in zip((-inf,) + self.neg, self.neg):
+        for prev, t in zip((-inf,) + neg, neg):
             if t % 2 == 0 or t > -3:
                 raise ValueError(f"bad neg entry {t}/2")
             if t <= prev:
                 neg_ascending = False
-        for prev, t in zip((1,) + self.holes, self.holes):
+        for prev, t in zip((1,) + holes, holes):
             if t % 2 == 0 or t < 3:
                 raise ValueError(f"bad hole entry {t}/2")
             if t <= prev:
@@ -56,10 +53,13 @@ class WedgeBasis:
             raise ValueError("neg must be strictly ascending")
         if not holes_ascending:
             raise ValueError("holes must be strictly ascending")
-        object.__setattr__(self, "_hash", hash((self.neg, self.holes)))
+        return tuple.__new__(cls, (neg, holes))
 
-    def __hash__(self):
-        return self._hash
+    neg = property(itemgetter(0))
+    holes = property(itemgetter(1))
+
+    def __repr__(self):
+        return f"WedgeBasis(neg={self.neg!r}, holes={self.holes!r})"
 
     def supports(self, t):
         """Is the odd doubled index t in the support of this wedge?"""
@@ -93,16 +93,23 @@ class WedgeElement(LinearCombination):
     """Finite rational combination of wedge basis vectors."""
 
 
-def flip(t, r, occupied, w):
-    """(m - 1/2) times the flip of the factor u_r (doubled index r) of w,
-    with m = t/2, reordered into canonical form: a removal when `occupied`,
-    an insertion otherwise.  Returns (new wedge, int coefficient): the
-    scalar (t - 1)/2 is an integer because t is odd.  Returns None when the
-    result is zero: at t = 1, or unless u_r is present exactly when
-    `occupied`."""
+def own_modes(sign, w):
+    """The modes t = 2m at which A(m) (sign +1) or A*(m) (sign -1) undoes a
+    perturbation of w: A fills a hole, A* removes an extra negative factor
+    u_{-m}.  Every other mode that acts has t <= -3."""
+    return w.holes if sign > 0 else tuple(-s for s in w.neg)
+
+
+def flip(sign, t, w):
+    """A(m) (sign +1) or A*(m) (sign -1), m = t/2, on a basis wedge: A
+    inserts u_m and A* removes u_{-m}, times (m - 1/2), reordered into
+    canonical form.  Returns (new wedge, int coefficient): the scalar
+    (t - 1)/2 is an integer because t is odd.  Returns None when the result
+    is zero: at t = 1, or when u_m is present (A) or u_{-m} absent (A*)."""
     if t % 2 == 0:
         raise ValueError("mode must lie in Z+1/2")
-    if t == 1 or w.supports(r) != occupied:
+    r = sign * t
+    if t == 1 or w.supports(r) != (sign < 0):
         return None
     c = (t - 1) // 2
     if w.support_below(r) % 2:
@@ -115,8 +122,7 @@ def flip(t, r, occupied, w):
 def _mode_terms(kind, t, w):
     """A(m) ("A") or A*(m) ("A*"), m = t/2, on a basis wedge: the
     (wedge, int) pairs of flip, at most one."""
-    r, occupied = {"A": (t, False), "A*": (-t, True)}[kind]
-    term = flip(t, r, occupied, w)
+    term = flip({"A": 1, "A*": -1}[kind], t, w)
     return (term,) if term else ()
 
 

@@ -60,8 +60,7 @@ def _z_basis(sign, m, key):
     (w, p)."""
     w, p = key
     step = 1 if sign == "+" else -1
-    t = 2 * (m - step * p) - 1
-    term = wedge.flip(t, step * t, step < 0, w)
+    term = wedge.flip(step, 2 * (m - step * p) - 1, w)
     return ((term[0], p + step), term[1]) if term else None
 
 
@@ -110,17 +109,14 @@ def _reach(sign, w, p):
     """Bound on the modes of Z^sign that act on (w, p): Z^sign(j) is zero
     for every j above it.
 
-    Z^+(j) inserts u_t, t = 2(j - p) - 1, which must be absent: a hole,
-    or t <= -3 (at t = 1 the scalar t/2 - 1/2 vanishes).  Z^-(j) removes
-    u_r, r = 1 - 2(j + p), which must be present: an extra negative
-    factor, or r >= 3 (at r = -1 the scalar vanishes).  So the largest
-    mode that can act comes from the outermost hole (for '+') or the
-    outermost extra negative factor (for '-'), or from t = -3 or r = 3
-    when there is none.
+    Z^sign(j) is the oscillator flip(step, t, w), step = +1 for '+' and -1
+    for '-', at t = 2(j - step*p) - 1.  It acts only at the modes of
+    wedge.own_modes and at t <= -3 (t = 1 has the scalar t/2 - 1/2 = 0).
+    So the largest j that can act comes from the outermost own mode, or
+    from t = -3 when there is none.
     """
-    if sign == "+":
-        return max([(t + 1) // 2 for t in w.holes], default=-1) + p
-    return max([(1 - t) // 2 for t in w.neg], default=-1) - p
+    step = 1 if sign == "+" else -1
+    return (max(wedge.own_modes(step, w), default=-3) + 1) // 2 + step * p
 
 
 def gen_commutator(s1, s2, m, n, s):

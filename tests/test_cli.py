@@ -1,11 +1,14 @@
+import ast
+import inspect
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from sl2crit import rep, wedge, zalg
-from sl2crit.cli import ACT_SIZE_LIMIT, build_spec, main, read_config
+from sl2crit import harness, rep, wedge, zalg
+from sl2crit.cli import (ACT_SIZE_LIMIT, SUITE_DEFAULTS, build_spec, main,
+                         read_config)
 
 
 def run(capsys, *argv):
@@ -293,3 +296,89 @@ def test_options_before_subcommand_are_usage_errors(capsys, tmp_path,
 def test_bad_flag_returns_usage_code(capsys):
     code, _, _ = run(capsys, "verify", "hwv", "--nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "hwv"],
+                                  ["character", "--max-twice-deg", "2"]],
+                         ids=["verify", "character"])
+def test_out_naming_a_file_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "file"
+    target.write_text("kept")
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and not out
+    assert str(target) in err and "Traceback" not in err
+    assert target.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hwv", "--mode-bound", "1"],
+    ["verify", "hwv", "--max-twice-deg", "1"],
+    ["verify", "hwv", "--charge-bound", "1"],
+    ["verify", "hwv", "--max-wedge-deg", "1"],
+    ["verify", "clifford", "--max-twice-deg", "1"],
+    ["verify", "clifford", "--charge-bound", "1"],
+    ["verify", "current", "--max-wedge-deg", "1"],
+    ["verify", "exp", "--charge-bound", "1"],
+    ["verify", "exp", "--max-wedge-deg", "1"],
+    ["verify", "zalg", "--max-twice-deg", "1"],
+])
+def test_unread_window_flag_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert f"{argv[1]} does not read" in err
+
+
+@pytest.mark.parametrize("command,key", [
+    (["character"], "mode_bound"), (["character"], "wedge_deg_cap"),
+    (["probe-d"], "wedge_deg_cap"), (["verify", "hwv"], "charge_bound"),
+])
+def test_unread_config_key_is_usage_error(capsys, tmp_path, command, key):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"{key} = 1\n")
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert code == 2 and not out
+    assert f"does not read {key}" in err
+
+
+def test_act_takes_no_config(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(rep.state_to_json(rep.v0())))
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode_bound = 1\n")
+    code, out, _ = run(capsys, "act", "--op", "d", "--state", str(path),
+                       "--config", str(cfg))
+    assert code == 2 and not out
+
+
+def test_verify_all_gives_each_suite_its_fields(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", "all", "--mode-bound", "1",
+                       "--max-twice-deg", "2", "--charge-bound", "0",
+                       "--max-wedge-deg", "1", "--out", str(tmp_path))
+    assert code == 0
+    for name, reads in SUITE_DEFAULTS.items():
+        if name in harness.ALL_SUITES:
+            report = json.loads((tmp_path / f"report_{name}.json")
+                                .read_text())
+            assert len(report["params"]) == len(reads)
+
+
+def _suite_nodes():
+    """Command name -> the AST of the function that takes its spec."""
+    tree = ast.parse(inspect.getsource(harness))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and node.targets[0].id == "ALL_SUITES")
+    out = {key.value: defs.get(getattr(value, "id", None), value)
+           for key, value in zip(table.keys, table.values)}
+    out["probe-d"] = defs["d_homogeneity_probe"]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(set(SUITE_DEFAULTS) - {"character"}))
+def test_defaults_set_exactly_the_fields_a_suite_reads(name):
+    reads = {node.attr for node in ast.walk(_suite_nodes()[name])
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "spec"}
+    assert reads == set(SUITE_DEFAULTS[name])

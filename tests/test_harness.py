@@ -109,6 +109,12 @@ class TestCharacter:
         assert any("m>=0" in note and "factor 4" in note
                    for note in tab["notes"])
 
+    def test_notes_are_a_copy(self):
+        # Editing one table's notes must not reach later tables or reports.
+        character(2)["notes"].append("edited")
+        assert "edited" not in character(2)["notes"]
+        assert "edited" not in harness.verify_hwv().notes
+
 
 class TestProbe:
     def test_probe_reports_and_passes(self):

@@ -177,6 +177,27 @@ def test_serialization_round_trip():
                                         "holes": ["5/2"]}
 
 
+def test_basis_is_its_tuple():
+    w = WedgeBasis((-5, -3), (7,))
+    assert isinstance(w, tuple) and w == ((-5, -3), (7,))
+    assert hash(w) == hash(((-5, -3), (7,)))
+    assert {((-5, -3), (7,)): 1}[w] == 1
+    assert (w.neg, w.holes) == ((-5, -3), (7,))
+    assert repr(w) == "WedgeBasis(neg=(-5, -3), holes=(7,))"
+    assert repr(VACUUM) == "WedgeBasis(neg=(), holes=())"
+    assert not hasattr(w, "__dict__")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_acting_modes_are_own_modes_or_deep(sign):
+    """rep._field_basis tries only wedge.own_modes and t <= -3."""
+    for w in small_bases(5):
+        own = wedge.own_modes(sign, w)
+        for t in range(-15, 16, 2):
+            if wedge.flip(sign, t, w) is not None:
+                assert t in own or t <= -3, (sign, t, w)
+
+
 def test_invalid_bases_rejected():
     with pytest.raises(ValueError):
         WedgeBasis((-1,), ())
