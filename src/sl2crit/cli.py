@@ -83,9 +83,11 @@ def build_spec(suite, args, config, names=()):
 
 
 def write_artifact(outdir, name, text):
-    """Write `name` under `outdir`, which main has created; nothing when no
-    --out was given."""
+    """Write `name` under `outdir`, created here, so that a command that
+    stops on a usage error leaves no directory; nothing when no --out was
+    given."""
     if outdir:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
         (Path(outdir) / name).write_text(text)
 
 
@@ -217,9 +219,16 @@ def main(argv=None):
         except (OSError, ValueError) as exc:
             print(f"bad config: {exc}", file=sys.stderr)
             return 2
+    if args.out:
+        # The directory is made on the first write; a path it could not be
+        # made under is refused before the command runs.
+        out = Path(args.out)
+        found = next(p for p in (out, *out.parents) if p.exists())
+        if not found.is_dir():
+            print(f"error: --out {args.out}: {found} is not a directory",
+                  file=sys.stderr)
+            return 2
     try:
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.run(args, config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import isqrt
 
 from . import fock, rep, wedge, zalg
@@ -172,42 +173,47 @@ def verify_clifford(spec):
 def verify_current_relations(spec):
     """Loop-algebra brackets of the realized fields, componentwise.
 
-    The fields are compiled in a rep.Window for this run: each bracket is
-    one integer vector over a common denominator, and it passes when that
-    vector is zero; a nonzero one is recorded as the same State residual.
+    Every field conserves the sector rep.sector(key), so the fields are
+    compiled in one rep.Window per sector, dropped before the next sector
+    starts.  Each bracket is one integer sum of operator words on a key
+    over a common denominator, and it passes when that sum is zero; a
+    nonzero one is recorded as the same State residual.
     """
     report = Report("current", {"mode_bound": spec.mode_bound,
                                 "max_twice_deg": spec.max_twice_deg,
                                 "charge_bound": spec.charge_bound})
     M = spec.mode_bound
-    win = rep.Window()
     fields = [("bracket_H_X", "X", 1), ("bracket_H_Y", "Y", -1)]
-    for key in state_basis(spec.max_twice_deg, spec.charge_bound):
-        s = win.vector(key)
-        label = _basis_label(key)
-        for m in range(-M, M + 1):
-            hs = win.apply("H", m, s)
-            for n in range(-M, M + 1):
-                # [H(m), F(n)] = +-2 F(m+n) for the charge +-1 fields.
-                for identity, f, charge in fields:
-                    res = win.residual(
-                        (1, win.apply("H", m, win.apply(f, n, s))),
-                        (-1, win.apply(f, n, hs)),
-                        (-2 * charge, win.apply(f, m + n, s)))
-                    report.check(identity, [m, n], label, res)
-                xy = [(1, win.apply("X", m, win.apply("Y", n, s))),
-                      (-1, win.apply("Y", n, win.apply("X", m, s))),
-                      (-1, win.apply("H", m + n, s))]
-                if m + n == 0:
-                    xy.append((2 * m, s))
-                report.check("bracket_X_Y", [m, n], label, win.residual(*xy))
-                if m and n:
-                    hh = [(1, win.apply("H", m, win.apply("H", n, s))),
-                          (-1, win.apply("H", n, hs))]
+    basis = sorted(state_basis(spec.max_twice_deg, spec.charge_bound),
+                   key=rep.sector)
+    for _, keys in groupby(basis, key=rep.sector):
+        win = rep.Window()
+        for key in keys:
+            i = win.intern(key)
+            label = _basis_label(key)
+            for m in range(-M, M + 1):
+                for n in range(-M, M + 1):
+                    # [H(m), F(n)] = +-2 F(m+n) for the charge +-1 fields.
+                    for identity, f, charge in fields:
+                        res = win.residual(
+                            i, (1, (("H", m), (f, n))),
+                            (-1, ((f, n), ("H", m))),
+                            (-2 * charge, ((f, m + n),)))
+                        report.check(identity, [m, n], label, res)
+                    xy = [(1, (("X", m), ("Y", n))),
+                          (-1, (("Y", n), ("X", m))),
+                          (-1, (("H", m + n),))]
                     if m + n == 0:
-                        hh.append((4 * m, s))
-                    report.check("bracket_H_H", [m, n], label,
-                                 win.residual(*hh))
+                        xy.append((2 * m, ()))
+                    report.check("bracket_X_Y", [m, n], label,
+                                 win.residual(i, *xy))
+                    if m and n:
+                        hh = [(1, (("H", m), ("H", n))),
+                              (-1, (("H", n), ("H", m)))]
+                        if m + n == 0:
+                            hh.append((4 * m, ()))
+                        report.check("bracket_H_H", [m, n], label,
+                                     win.residual(i, *hh))
     return report.finalize()
 
 

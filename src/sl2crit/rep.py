@@ -126,14 +126,20 @@ def h_act_full(n, s):
     return s.map_basis(lambda key: (_h_terms(n, *key), 1))
 
 
+def sector(key):
+    """The sector c = p - charge(w) of a basis triple.  X, Y, H and Z±
+    conserve it: X and Y shift p and the wedge charge together."""
+    return key[2] - key[1].charge
+
+
 class Window:
-    """X(m), Y(m) and H(m) compiled for one suite run, fraction-free.
+    """X(m), Y(m) and H(m) compiled for one sector, fraction-free.
 
     Basis keys are interned to int ids on first use, and the column of an
     operator on an id is built once from _field_basis or _h_terms, as int
-    numerators over one column denominator (1 for H).  A vector is
-    (nums, den): a dict id -> nonzero int over a positive int den.  The
-    columns live as long as the window.
+    numerators over one column denominator (1 for H).  Every operator
+    conserves the sector, so a window opened for one sector only ever
+    interns keys of it.  The columns live as long as the window.
     """
 
     def __init__(self):
@@ -141,16 +147,13 @@ class Window:
         self._ids = {}
         self._columns = {}
 
-    def _intern(self, key):
+    def intern(self, key):
+        """The int id of a key."""
         i = self._ids.get(key)
         if i is None:
             i = self._ids[key] = len(self.keys)
             self.keys.append(key)
         return i
-
-    def vector(self, key):
-        """The basis vector of a key."""
-        return {self._intern(key): 1}, 1
 
     def _column(self, op, m, i):
         """op(m) on id i, op one of "X", "Y", "H": (((id, int), ...), den)."""
@@ -162,22 +165,29 @@ class Window:
             else:
                 terms, den = _field_basis(1 if op == "X" else -1, m, *key)
             col = self._columns[op, m, i] = (
-                tuple((self._intern(k), c) for k, c in terms), den)
+                tuple((self.intern(k), c) for k, c in terms), den)
         return col
 
-    def apply(self, op, m, vec):
-        """op(m) on a vector, its columns brought to their lcm."""
-        nums, den = vec
-        out, lift = combine([(a, self._column(op, m, i))
-                             for i, a in nums.items()])
-        return out, den * lift
+    def residual(self, i, *terms):
+        """The sum of scalar * word(key i) over (int, word) terms, a word
+        being a tuple of (op, m), outermost first; () is the identity.
 
-    def residual(self, *terms):
-        """The sum of scalar * vector over (int, vector) pairs, combined as
-        one integer vector over the lcm of the denominators; returned as a
-        State, which is zero exactly when that vector is."""
-        out, lift = combine([(a, (nums.items(), den))
-                             for a, (nums, den) in terms])
+        Each word is expanded into scaled columns, the innermost used as
+        built, and all of them go into one integer `combine` over the lcm
+        of their denominators.  The result is a State, which is zero
+        exactly when that integer vector is."""
+        parts = []
+        for a, word in terms:
+            vec = [(a, (((i, 1),), 1))]
+            for op, m in reversed(word):
+                outer = []
+                for b, (ids, d) in vec:
+                    for j, c in ids:
+                        pairs, den = self._column(op, m, j)
+                        outer.append((b * c, (pairs, den * d)))
+                vec = outer
+            parts += vec
+        out, lift = combine(parts)
         return State({self.keys[j]: Fraction(c, lift)
                       for j, c in out.items()})
 

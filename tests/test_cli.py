@@ -310,6 +310,31 @@ def test_out_naming_a_file_is_usage_error(capsys, tmp_path, argv):
     assert target.read_text() == "kept"
 
 
+def test_out_below_a_file_is_usage_error(capsys, tmp_path, monkeypatch):
+    # Refused before the suite runs: it would fail only on the first write.
+    monkeypatch.setattr(harness, "verify_hwv", None)
+    target = tmp_path / "file"
+    target.write_text("kept")
+    code, out, err = run(capsys, "verify", "hwv",
+                         "--out", str(target / "sub"))
+    assert code == 2 and not out
+    assert str(target) in err and "Traceback" not in err
+    assert target.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hwv", "--mode-bound", "1"],
+    ["verify", "bogus"],
+    ["act", "--op", "d", "--state", "missing.json"],
+], ids=["unread-flag", "unknown-suite", "missing-state"])
+def test_usage_error_leaves_no_out_directory(capsys, tmp_path, monkeypatch,
+                                             argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv, "--out", "newdir")
+    assert code == 2 and not out
+    assert not (tmp_path / "newdir").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "hwv", "--mode-bound", "1"],
     ["verify", "hwv", "--max-twice-deg", "1"],

@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 import sl2crit
-from sl2crit import fock, rep, wedge
+from sl2crit import fock, rep, wedge, zalg
 from sl2crit.fock import FockElement
-from sl2crit.harness import state_basis
+from sl2crit.harness import CheckSpec, state_basis, verify_current_relations
 from sl2crit.rep import (NotAWeightVector, State, alpha0_eig, basis_state,
                          c_act, chevalley_act, d_act, h_act_full,
                          lattice_d_eig, v0, v1, weight_of, x_act, y_act)
@@ -211,15 +211,15 @@ class TestCompiledWindow:
     def test_columns_match_fraction_fields(self):
         # Every column built for window (4, 1) with modes -2..2, on the
         # basis and on the images under one more operator, equals the
-        # State action on its key; two-step products equal the State path.
+        # State action on its key; two-op words equal the State path.
         win = rep.Window()
         for key in state_basis(4, 1):
-            s = win.vector(key)
+            i = win.intern(key)
+            assert win.residual(i, (1, ())) == State.basis(key)
             for a in "XYH":
                 for m in range(-2, 3):
-                    image = win.apply(a, m, s)
                     for b in "XYH":
-                        got = win.residual((1, win.apply(b, -m, image)))
+                        got = win.residual(i, (1, ((b, -m), (a, m))))
                         want = self.ACT[b](-m,
                                            self.ACT[a](m, State.basis(key)))
                         assert got == want, (key, a, m, b)
@@ -231,11 +231,73 @@ class TestCompiledWindow:
 
     def test_residual_is_zero_exactly_when_the_vector_is(self):
         win = rep.Window()
-        s = win.vector(((1,), wedge.VACUUM, 0))
-        half = ({i: 1 for i in s[0]}, 2)
-        assert not win.residual((2, half), (-1, s))
-        assert win.residual((1, half), (-1, s)) == basis_state(
-            (1,), wedge.VACUUM, 0, Fraction(-1, 2))
+        i = win.intern(((), wedge.VACUUM, 0))
+        # X(-3) v0 has coefficients -1/4 and 1/2 and charge 1, so H(0)
+        # acts on it by 2.
+        x3 = (("X", -3),)
+        hx3 = (("H", 0), ("X", -3))
+        assert any(c.denominator > 1 for _, c in x_act(-3, v0()))
+        assert not win.residual(i, (1, hx3), (-2, x3))
+        assert win.residual(i, (1, hx3), (-1, x3)) == x_act(-3, v0())
+        assert not win.residual(i, (2, ()), (-2, ()))
+        assert win.residual(i, (1, ()), (1, ())) == v0().scale(2)
+
+
+def _recorded_windows(spec):
+    """Every rep.Window that verify_current_relations opens on spec, in
+    order, kept alive after the run."""
+    opened = []
+
+    class Recording(rep.Window):
+        def __init__(self):
+            super().__init__()
+            opened.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rep, "Window", Recording)
+        assert verify_current_relations(spec).passed
+    return opened
+
+
+class TestSectors:
+    SPEC = CheckSpec(mode_bound=3, max_twice_deg=5, charge_bound=2)
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        return _recorded_windows(self.SPEC)
+
+    def test_operators_conserve_the_sector(self):
+        ops = {"X": x_act, "Y": y_act, "H": h_act_full,
+               "Z+": lambda m, s: zalg.z_act_full("+", m, s),
+               "Z-": lambda m, s: zalg.z_act_full("-", m, s)}
+        terms = dict.fromkeys(ops, 0)
+        for key in state_basis(6, 2):
+            s = State.basis(key)
+            for m in range(-3, 4):
+                for name, op in ops.items():
+                    image = op(m, s)
+                    assert {rep.sector(k) for k in image.terms} \
+                        <= {rep.sector(key)}, (key, name, m)
+                    terms[name] += len(image)
+        assert sum(terms.values()) > 3000 and min(terms.values()) > 100
+
+    def test_window_columns_stay_in_their_sector(self, windows):
+        columns = 0
+        for win in windows:
+            for (_, _, i), (col, _) in win._columns.items():
+                c = rep.sector(win.keys[i])
+                assert all(rep.sector(win.keys[j]) == c for j, _ in col)
+                columns += 1
+        assert columns > 10000
+
+    def test_one_window_per_sector(self, windows):
+        spec = self.SPEC
+        sectors = {rep.sector(key) for key in
+                   state_basis(spec.max_twice_deg, spec.charge_bound)}
+        assert len(sectors) == len(windows) == 5
+        seen = [{rep.sector(key) for key in win.keys} for win in windows]
+        assert all(len(s) == 1 for s in seen)
+        assert set().union(*seen) == sectors
 
 
 def test_cached_functions_are_the_exponential_tables_and_z_basis():
