@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .linear import LinearCombination, accumulate
+from .linear import LinearCombination
 
 # A Fock monomial is a tuple of positive integer parts, sorted descending;
 # part n stands for one factor H(-n).  The empty tuple is the vacuum 1.
@@ -118,12 +118,41 @@ def _e_coeff_monomial(sup, sub, k, mono):
         lift = den // _e_den(k - step * n)
         for m2, c2 in _e_coeff_monomial(sup, sub, k - step * n, mono):
             for m3, c3 in _h_act_monomial(-step * n, m2):
-                accumulate(out, m3, lift * c2 * c3)
-    rows = [(m, *divmod(sign * c, 2 * abs(k))) for m, c in out.items()]
+                out[m3] = out.get(m3, 0) + lift * c2 * c3
+    rows = [(m, *divmod(sign * c, 2 * abs(k))) for m, c in out.items() if c]
     if any(r for _, _, r in rows):
         raise ArithmeticError(f"E^{sup}_{sub} coefficient at z^{k} on "
                               f"{mono} times {den} is not an integer")
     return tuple((m, q) for m, q, _ in rows)
+
+
+# Entries kept by the _vertex_monomial cache.  A row depends only on
+# (sup, k, mono), so X and Y share it across every wedge, charge and mode
+# with the same k: the current suite at window (3,5,2) makes 16,330
+# lookups on 844 rows, at (4,10,2) 361,710 on 3,990.
+VERTEX_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=VERTEX_CACHE_SIZE)
+def _vertex_monomial(sup, k, mono):
+    """z^k coefficient of E^sup_+(z) E^sup_-(z) applied to a monomial,
+    times _e_den(sum(mono) + k): a tuple of (monomial, nonzero int) pairs.
+
+    This is the Heisenberg part of X (sup '+') and Y (sup '-'): the sum
+    over k1 - k2 = k of the creation coefficient at z^k1 after the
+    annihilation coefficient at z^-k2.  The annihilation side lowers the
+    degree by k2, so k2 <= sum(mono), k1 <= sum(mono) + k, and each term
+    is lifted from _e_den(k1) to the row's denominator.
+    """
+    deg = sum(mono)
+    den = _e_den(deg + k)
+    out = {}
+    for k2 in range(max(0, -k), deg + 1):
+        lift = den // _e_den(k2 + k)
+        for m1, c1 in _e_coeff_monomial(sup, "-", -k2, mono):
+            for m2, c2 in _e_coeff_monomial(sup, "+", k2 + k, m1):
+                out[m2] = out.get(m2, 0) + lift * c1 * c2
+    return tuple((m, c) for m, c in out.items() if c)
 
 
 def e_coeff(sup, sub, k, v):

@@ -16,7 +16,6 @@ from math import isqrt
 
 from . import fock, rep, wedge, zalg
 from .fock import e_coeff
-from .linear import accumulate
 from .scalars import binom_series_coeff, contraction_coeff
 
 CONVENTION_NOTES = [
@@ -405,7 +404,7 @@ def character(max_twice_deg):
     for fmono, w, p in state_basis(max_twice_deg, P):
         td = 2 * (sum(fmono) + w.degree()) + p * p
         counts_v[td] += 1
-        accumulate(counts_by_charge, (p, td), 1)
+        counts_by_charge[p, td] = counts_by_charge.get((p, td), 0) + 1
         if not fmono:
             counts_omega[td] += 1
 

@@ -55,16 +55,18 @@ class LinearCombination:
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for key, c in other.terms.items():
-            accumulate(out, key, c)
+            out[key] = get(key, 0) + c
         return type(self)(out)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for key, c in other.terms.items():
-            accumulate(out, key, -c)
+            out[key] = get(key, 0) - c
         return type(self)(out)
 
     def __neg__(self):
@@ -102,24 +104,15 @@ class LinearCombination:
         return f"{type(self).__name__}({' + '.join(parts)})"
 
 
-def accumulate(target, key, coeff):
-    """In-place add into a plain dict used as an accumulator; a key whose
-    sum is zero is dropped."""
-    s = target.get(key, 0) + coeff
-    if s:
-        target[key] = s
-    else:
-        target.pop(key, None)
-
-
 def combine(terms):
     """The sum of scalar * vector over (scalar, (pairs, den)) terms, each
     vector given as (key, int) pairs over a positive int den: one dict
     key -> nonzero int over the lcm of the denominators, as (dict, lcm)."""
     lift = lcm(*[den for _, (_, den) in terms])
     out = {}
+    get = out.get
     for scalar, (pairs, den) in terms:
         scalar *= lift // den
         for key, c in pairs:
-            accumulate(out, key, scalar * c)
-    return out, lift
+            out[key] = get(key, 0) + scalar * c
+    return {k: c for k, c in out.items() if c}, lift

@@ -1,12 +1,11 @@
 """The level -2 module V = Fock ⊗ restricted wedge ⊗ lattice and the exact
 component actions of the affine generators on it.
 
-The raising/lowering fields act through a finite triple sum (creation
-exponential coefficient, annihilation exponential coefficient, oscillator
-mode).  Every bound in the sums is exact: the annihilation depth is capped
-by the Fock degree of the term, the oscillator modes by the term's holes
-and the nonnegativity of the creation index, so no heuristic cutoff is
-involved.
+The raising/lowering fields are the Z-operators dressed by the Heisenberg
+exponentials: a finite sum over Z-modes of one cached Fock vertex row
+times one cached oscillator flip.  Every bound in the sum is exact: the
+Fock side is capped by the degree of the term, the Z-modes by the term's
+outermost perturbation (_reach), so no heuristic cutoff is involved.
 
 The lattice z-power reads the charge of the *input* term; this ordering is
 what reproduces the ground-truth values of the simple lowering operators
@@ -17,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import fock, wedge
-from .linear import LinearCombination, accumulate, combine
+from .linear import LinearCombination, combine
 
 
 class State(LinearCombination):
@@ -64,43 +64,73 @@ class WeightTriple:
     d: Fraction
 
 
+# Entries kept by the _z_basis cache.  X, Y and the Z-operators apply the
+# same one-oscillator flips across all their modes and sign pairs: the
+# Z-algebra suite at window (3,3,2) makes 73,864 calls on 4,994 distinct
+# (sign, mode, key) triples, the current suite at (4,10,2) 552,792 on 9,142.
+Z_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=Z_CACHE_SIZE)
+def _z_basis(sign, m, key):
+    """Component m of Z^sign on a basis key (w, p) of the vacuum space:
+    one oscillator mode, A(m - p - 1/2) for '+' and A*(m + p - 1/2) for
+    '-', with the charge shifted by one in the direction of the sign.
+    Returns ((w2, p2), int coefficient), or None when the mode annihilates
+    (w, p)."""
+    w, p = key
+    step = 1 if sign == "+" else -1
+    term = wedge.flip(step, 2 * (m - step * p) - 1, w)
+    return ((term[0], p + step), term[1]) if term else None
+
+
+def _reach(sign, w, p):
+    """Bound on the modes of Z^sign that act on (w, p): Z^sign(j) is zero
+    for every j above it.
+
+    Z^sign(j) is the oscillator flip(step, t, w), step = +1 for '+' and -1
+    for '-', at t = 2(j - step*p) - 1.  It acts only at the modes of
+    wedge.own_modes and at t <= -3 (t = 1 has the scalar t/2 - 1/2 = 0).
+    So the largest j that can act comes from the outermost own mode, or
+    from t = -3 when there is none.
+    """
+    step = 1 if sign == "+" else -1
+    return (max(wedge.own_modes(step, w), default=-3) + 1) // 2 + step * p
+
+
 def _field_basis(sign, m, fockmono, w, p):
     """X(m) (sign +1) or Y(m) (sign -1) on a basis triple, as integer
     numerators over one denominator: (((key, int), ...), den).
 
-    Both fields are an oscillator dressed by the two exponentials and a
-    lattice shift by sign*alpha: X uses A and the '+' exponentials, Y uses
-    A* and the '-' ones.  The oscillator modes that act nontrivially are
-    among wedge.own_modes and the t <= -3, and wedge.flip rejects the rest.
-    Annihilation coefficients and the oscillator scalars (t-1)/2 are
-    integers, and the creation coefficient at z^k is one over
-    fock._e_den(k), so den = fock._e_den(K) for the largest creation power
-    K that occurs.
+    X(z) = E^+_+(z) E^+_-(z) Z^+(z) and Y the same with the '-' signs: the
+    Heisenberg exponentials dress the Z-operator, and V = Fock ⊗ Ω.  The
+    field's oscillator at mode t with creation power k1 and annihilation
+    depth k2 balances as k1 - k2 - (t+1)/2 - sign*p = -m.  Put
+    t = 2(j - sign*p) - 1, the mode of Z(j) (_z_basis); then
+    k1 - k2 = j - m, so
+        X(m) (mono ⊗ ω) = sum_j Γ_{j-m}(mono) ⊗ Z(j) ω,
+    Γ_k the z^k coefficient of the two exponentials
+    (fock._vertex_monomial).  With deg = sum(mono), Γ_k vanishes below
+    k = -deg and Z(j) above _reach, so j runs over m - deg .. _reach.
+    Distinct j flip distinct modes and give distinct wedges, so no key
+    repeats.  Γ_k has denominator fock._e_den(deg + k), so
+    den = fock._e_den(K) for the largest creation power K = deg + j - m
+    that occurs.
     """
     sup = "+" if sign > 0 else "-"
-    sp = sign * p
     deg = sum(fockmono)
-    # z-exponent balance: k1 - k2 - (t+1)/2 - sign*p = -m with k1 >= 0 and
-    # annihilation depth k2 <= deg, so t >= 2(m - sign*p - deg) - 1.
-    tmin = 2 * (m - sp - deg) - 1
-    modes = [t for t in wedge.own_modes(sign, w) if t >= tmin]
-    modes.extend(range(-3, tmin - 1, -2))
-    welems = [(t, *term) for t in modes if (term := wedge.flip(sign, t, w))]
-    if not welems:
+    key = (w, p)
+    zs = [(j, z) for j in range(_reach(sup, w, p), m - deg - 1, -1)
+          if (z := _z_basis(sup, j, key))]
+    if not zs:
         return (), 1
-    den = fock._e_den(deg + (max(t for t, _, _ in welems) + 1) // 2 + sp - m)
-    out = {}
-    for k2 in range(deg + 1):
-        ann = fock._e_coeff_monomial(sup, "-", -k2, fockmono)
-        for t, w2, cw in welems:
-            k1 = k2 + (t + 1) // 2 + sp - m
-            if k1 < 0:
-                continue
-            lift = den // fock._e_den(k1)
-            for mono1, c1 in ann:
-                for mono2, c2 in fock._e_coeff_monomial(sup, "+", k1, mono1):
-                    accumulate(out, (mono2, w2, p + sign), lift * c1 * c2 * cw)
-    return tuple(out.items()), den
+    den = fock._e_den(deg + zs[0][0] - m)
+    out = []
+    for j, ((w2, p2), cz) in zs:
+        lift = cz * (den // fock._e_den(deg + j - m))
+        out += [((mono2, w2, p2), lift * c)
+                for mono2, c in fock._vertex_monomial(sup, j - m, fockmono)]
+    return out, den
 
 
 def x_act(m, s):
@@ -284,5 +314,5 @@ def state_from_json(data, cls=State):
         key = (wedge.parse_basis(term["wedge"]), charge)
         if issubclass(cls, State):
             key = (fock.parse_monomial(term["fock"]),) + key
-        accumulate(out, key, coeff)
+        out[key] = out.get(key, 0) + coeff
     return cls(out)

@@ -3,17 +3,20 @@
 On the vacuum space (trivial Fock factor) each moded Z-operator reduces to
 a single oscillator mode per charge sector, because the lattice z-power
 contributes a pure monomial.  On the full module a Z-operator acts on the
-vacuum-space factor alone (z_act_full).  The series definition on the full
-module (oscillator field dressed by annihilation-side exponentials) is kept
-as an independent cross-check.
+vacuum-space factor alone (z_act_full).  The basis-level mode _z_basis and
+its bound _reach live in rep, whose X and Y are the same modes dressed by
+the Heisenberg exponentials, so one cache serves X, Y and Z±.  The series
+definition on the full module (X or Y dressed by the inverse exponentials,
+zop_via_definition) is kept as a check that those exponentials cancel the
+Heisenberg part of the field; the independent evidence for X and Y is the
+direct oscillator sum in the tests.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import fock, rep, wedge
-from .linear import LinearCombination, accumulate, combine
+from .linear import LinearCombination, combine
+from .rep import _reach, _z_basis
 
 
 class OmegaState(LinearCombination):
@@ -44,26 +47,6 @@ def omega_project(s):
     return OmegaState(out)
 
 
-# Entries kept by the _z_basis cache.  The suites apply the same
-# one-oscillator flips across all their (m, n) pairs and sign pairs: at
-# window (3,3,2), 4,994 distinct (sign, mode, key) triples serve 73,864
-# calls.
-Z_CACHE_SIZE = 1 << 16
-
-
-@lru_cache(maxsize=Z_CACHE_SIZE)
-def _z_basis(sign, m, key):
-    """Component m of Z^sign on a basis key (w, p) of the vacuum space:
-    one oscillator mode, A(m - p - 1/2) for '+' and A*(m + p - 1/2) for
-    '-', with the charge shifted by one in the direction of the sign.
-    Returns ((w2, p2), int coefficient), or None when the mode annihilates
-    (w, p)."""
-    w, p = key
-    step = 1 if sign == "+" else -1
-    term = wedge.flip(step, 2 * (m - step * p) - 1, w)
-    return ((term[0], p + step), term[1]) if term else None
-
-
 def z_act_full(sign, m, s):
     """Component m of Z^sign on a State or an OmegaState: the linear
     extension of _z_basis to keys that end in (w, p).
@@ -75,7 +58,8 @@ def z_act_full(sign, m, s):
     (mono, w, p) is the product of the creation modes H(-n), n in mono,
     applied to the Heisenberg vacuum (w, p) in Ω.  So
     Z(m)(mono ⊗ ω) = mono ⊗ Z(m)ω.  zop_via_definition computes the same
-    map from the definition and stays as the independent cross-check.
+    map from the definition and X or Y, which are built on _z_basis too,
+    so it checks the Heisenberg dressing, not the oscillator.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -103,20 +87,6 @@ def _pair_term(s1, s2, j1, j2, key):
         return None
     outer = _z_basis(s1, j1, inner[0])
     return (outer[0], outer[1] * inner[1]) if outer else None
-
-
-def _reach(sign, w, p):
-    """Bound on the modes of Z^sign that act on (w, p): Z^sign(j) is zero
-    for every j above it.
-
-    Z^sign(j) is the oscillator flip(step, t, w), step = +1 for '+' and -1
-    for '-', at t = 2(j - step*p) - 1.  It acts only at the modes of
-    wedge.own_modes and at t <= -3 (t = 1 has the scalar t/2 - 1/2 = 0).
-    So the largest j that can act comes from the outermost own mode, or
-    from t = -3 when there is none.
-    """
-    step = 1 if sign == "+" else -1
-    return (max(wedge.own_modes(step, w), default=-3) + 1) // 2 + step * p
 
 
 def gen_commutator(s1, s2, m, n, s):
@@ -154,7 +124,7 @@ def gen_commutator(s1, s2, m, n, s):
             for term, sg in ((_pair_term(s1, s2, m - k, n + k, key), wt),
                              (_pair_term(s2, s1, n - k, m + k, key), -wt)):
                 if term:
-                    accumulate(sums, term[0], sg * term[1])
+                    sums[term[0]] = sums.get(term[0], 0) + sg * term[1]
         return sums.items(), 1
     return s.map_basis(on_basis)
 

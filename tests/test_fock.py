@@ -117,8 +117,8 @@ class TestExponentialCoefficients:
 
 class TestIntegerView:
     def test_scaled_table_is_integral(self):
-        # Same range as the pinned table: every scaled coefficient is an
-        # int.
+        # Same range as the pinned table: every scaled coefficient is a
+        # nonzero int.
         for f in range(9):
             for mono in fock._partitions(f):
                 for sup in "+-":
@@ -126,7 +126,29 @@ class TestIntegerView:
                                     ("-", range(0, -11, -1))):
                         for k in ks:
                             got = fock._e_coeff_monomial(sup, sub, k, mono)
-                            assert all(type(c) is int for _, c in got)
+                            assert all(type(c) is int and c for _, c in got)
+
+    def test_vertex_rows_are_the_exponential_products(self):
+        # Gamma_k = sum over k1 - k2 = k of E_+(k1) E_-(-k2), read as
+        # Fractions over _e_den(deg + k), on every monomial of degree <= 6;
+        # rows hold nonzero ints only.
+        rows = 0
+        for f in range(7):
+            for mono in fock._partitions(f):
+                v = FockElement.basis(mono)
+                for sup in "+-":
+                    for k in range(-f - 1, 5):
+                        got = fock._vertex_monomial(sup, k, mono)
+                        assert all(type(c) is int and c for _, c in got)
+                        den = fock._e_den(f + k)
+                        want = sum((e_coeff(sup, "+", k2 + k,
+                                            e_coeff(sup, "-", -k2, v))
+                                    for k2 in range(max(0, -k), f + 1)),
+                                   FockElement.zero())
+                        assert FockElement({m: Fraction(c, den)
+                                            for m, c in got}) == want
+                        rows += bool(got)
+        assert rows > 300
 
     def test_denominators(self):
         assert [fock._e_den(k) for k in (-3, 0, 1, 2, 3)] == [1, 1, 2, 8, 48]

@@ -4,7 +4,7 @@ import pytest
 
 from sl2crit import fock, rep, wedge, zalg
 from sl2crit.fock import FockElement
-from sl2crit.linear import LinearCombination
+from sl2crit.linear import LinearCombination, combine
 from sl2crit.rep import State
 from sl2crit.wedge import VACUUM, WedgeBasis, WedgeElement
 from sl2crit.zalg import OmegaState
@@ -36,6 +36,15 @@ def test_map_basis_sums_kernels_exactly():
     assert got.terms == {"y": Fraction(1, 6), "x": Fraction(5, 4)}
     assert all(type(c) is Fraction for _, c in got)
     assert Vector.zero().map_basis(kernel.__getitem__) == Vector.zero()
+
+
+def test_combine_drops_cancelled_keys():
+    # 3 * (a: 2, b: 1)/6 and -1 * (a: 1)/1 cancel on "a"; b cancels too.
+    assert combine([(3, ((("a", 2), ("b", 1)), 6)),
+                    (-1, ((("a", 1),), 1)),
+                    (-1, ((("b", 1),), 2))]) == ({}, 6)
+    assert combine([(1, ((("a", 1),), 2)), (1, ((("a", 1),), 3))]) \
+        == ({"a": 5}, 6)
 
 
 # Three basis keys per operator and the coefficients 2/3, -5/4, 7/2, whose

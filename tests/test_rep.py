@@ -110,6 +110,44 @@ class TestFieldComponentsAgainstOracle:
             assert y_act(m, s) == oracle_field("y", m, key), ("y", m, key)
 
 
+def direct_field(sign, m, key):
+    """X(m) (sign +1) or Y(m) (sign -1) on a basis triple by the direct
+    sum over the annihilation depth k2 and the oscillator mode t of
+    E_+(k1) flip(sign, t) E_-(-k2), with k1 fixed by the z-balance
+    k1 - k2 - (t+1)/2 - sign*p = -m; no Z-operator is involved."""
+    mono, w, p = key
+    sup = "+" if sign > 0 else "-"
+    # A perturbation at doubled index ±t adds (t - 1)/2 to the wedge
+    # degree, so no mode above 2 degree + 1 undoes one.
+    tmax = 2 * w.degree() + 1
+    out = State.zero()
+    for k2 in range(sum(mono) + 1):
+        ann = fock.e_coeff(sup, "-", -k2, FockElement.basis(mono))
+        for t in range(2 * (m - sign * p - k2) - 1, tmax + 1, 2):
+            term = wedge.flip(sign, t, w)
+            if term is None:
+                continue
+            w2, cw = term
+            cre = fock.e_coeff(sup, "+", k2 + (t + 1) // 2 + sign * p - m, ann)
+            out += State({(mono2, w2, p + sign): c * cw for mono2, c in cre})
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_field_kernel_matches_direct_oscillator_sum(sign):
+    # Every key of state_basis(8, 2) and m = -3..3: the kernel read as
+    # Fractions, with no repeated key and no zero, is the direct sum.
+    nonzero = 0
+    for key in state_basis(8, 2):
+        for m in range(-3, 4):
+            terms, den = rep._field_basis(sign, m, *key)
+            got = {k: Fraction(c, den) for k, c in terms}
+            assert len(got) == len(terms) and all(got.values())
+            assert got == direct_field(sign, m, key).terms, (sign, m, key)
+            nonzero += bool(got)
+    assert nonzero > 500
+
+
 class TestGroundTruthVectors:
     def test_f0_v0(self):
         want = basis_state((), wedge.WedgeBasis((-3,), ()), 1, -2)
@@ -301,9 +339,9 @@ class TestSectors:
 
 
 def test_cached_functions_are_the_exponential_tables_and_z_basis():
-    # The field kernels are uncached; the only caches are the partition
-    # and exponential tables in fock and the Z kernel, whose bound
-    # test_zalg checks.
+    # The field kernels are uncached; the only caches are the partition,
+    # exponential and vertex tables in fock and the Z kernel that X, Y
+    # and Z± share, whose bounds test_zalg checks.
     cached = set()
     for info in pkgutil.iter_modules(sl2crit.__path__):
         mod = importlib.import_module(f"sl2crit.{info.name}")
@@ -312,7 +350,7 @@ def test_cached_functions_are_the_exponential_tables_and_z_basis():
                       if hasattr(obj, "cache_info")
                       and obj.__module__ == mod.__name__)
     assert cached == {"fock._partitions", "fock._e_coeff_monomial",
-                      "zalg._z_basis"}
+                      "fock._vertex_monomial", "rep._z_basis"}
 
 
 def test_state_serialization_round_trip():

@@ -190,7 +190,8 @@ def test_basis_is_its_tuple():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_acting_modes_are_own_modes_or_deep(sign):
-    """rep._field_basis tries only wedge.own_modes and t <= -3."""
+    """rep._reach, which bounds the Z-modes that X, Y and Z± try, counts
+    only wedge.own_modes and t <= -3."""
     for w in small_bases(5):
         own = wedge.own_modes(sign, w)
         for t in range(-15, 16, 2):

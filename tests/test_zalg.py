@@ -282,6 +282,10 @@ def test_z_basis_cache_is_bounded():
     assert zalg._z_basis.cache_info().maxsize is not None
 
 
+def test_vertex_cache_is_bounded():
+    assert fock._vertex_monomial.cache_info().maxsize is not None
+
+
 class TestVacuumSpaceMaps:
     def test_embed_project_round_trip(self):
         s = (omega_basis(wedge.WedgeBasis((-3,), ()), 1, Fraction(2, 3))
