@@ -16,8 +16,8 @@ def fmt(s):
 
 def main():
     vac = zalg.omega_basis()
-    print("Z+(-1) vacuum ->", fmt(zalg.zplus_act(-1, vac)))
-    print("Z-(-1) vacuum ->", fmt(zalg.zminus_act(-1, vac)))
+    print("Z+(-1) vacuum ->", fmt(zalg.z_act_full("+", -1, vac)))
+    print("Z-(-1) vacuum ->", fmt(zalg.z_act_full("-", -1, vac)))
     print()
 
     # Closed form versus the definition (field components dressed with
@@ -26,7 +26,7 @@ def main():
     emb = zalg.omega_embed(s)
     for m in range(-2, 3):
         direct = zalg.zop_via_definition("+", m, emb)
-        closed = zalg.omega_embed(zalg.zplus_act(m, s))
+        closed = zalg.omega_embed(zalg.z_act_full("+", m, s))
         assert direct == closed, m
     print("definition and closed form agree for Z+ modes -2..2")
 

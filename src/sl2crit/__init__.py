@@ -16,7 +16,7 @@ from .rep import (NotAWeightVector, State, WeightTriple, alpha0_eig,
                   lattice_d_eig, v0, v1, weight_of, x_act, y_act)
 from .zalg import (NotInVacuumSpace, OmegaState, gen_commutator,
                    omega_basis, omega_embed, omega_project, z_act_full,
-                   zminus_act, zop_via_definition, zplus_act)
+                   zop_via_definition)
 from .harness import CheckSpec, Report, character, d_homogeneity_probe
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "x_act", "y_act", "h_act_full", "c_act", "d_act", "chevalley_act",
     "weight_of",
     "OmegaState", "NotInVacuumSpace", "omega_basis", "omega_embed",
-    "omega_project", "zplus_act", "zminus_act", "gen_commutator",
-    "zop_via_definition", "z_act_full",
+    "omega_project", "gen_commutator", "zop_via_definition", "z_act_full",
     "CheckSpec", "Report", "character", "d_homogeneity_probe",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import stat
 import sys
 from pathlib import Path
 
@@ -48,11 +49,21 @@ SPEC_KEYS = [f.name for f in dataclasses.fields(CheckSpec)]
 ACT_SIZE_LIMIT = 20
 
 
+def read_input(path):
+    """The text of the file at `path`.  Anything but a regular file is a
+    ValueError: a device such as /dev/zero reads until memory runs out, and
+    a pipe blocks until a writer comes."""
+    path = Path(path)
+    if not stat.S_ISREG(path.stat().st_mode):
+        raise ValueError(f"{path} is not a regular file")
+    return path.read_text()
+
+
 def read_config(path):
     """Simple key=value config; '#' starts a comment.  Keys are CheckSpec
     fields."""
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in read_input(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -133,7 +144,7 @@ def cmd_act(args, config):
         print(f"operator {args.op} {need} --m", file=sys.stderr)
         return 2
     try:
-        state = rep.state_from_json(json.loads(Path(args.state).read_text()))
+        state = rep.state_from_json(json.loads(read_input(args.state)))
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot read state: {exc}", file=sys.stderr)
         return 2
@@ -197,6 +208,11 @@ def make_parser():
     return parser
 
 
+# Built once per process: `main` can be called many times in one process,
+# and each parse_args makes a fresh Namespace from the subparser defaults.
+PARSER = make_parser()
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     option = argv[0].split("=", 1)[0] if argv else None
@@ -204,13 +220,12 @@ def main(argv=None):
         print(f"sl2crit: {option} goes after the subcommand, as in "
               f"'sl2crit verify hwv {option} ...'", file=sys.stderr)
         return 2
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if not args.command:
-        parser.print_help()
+        PARSER.print_help()
         return 2
     config = {}
     if getattr(args, "config", None):

@@ -70,16 +70,6 @@ def z_act_full(sign, m, s):
     return s.map_basis(on_basis)
 
 
-def zplus_act(m, s):
-    """Component m of the raising Z-operator, charge up by one."""
-    return z_act_full("+", m, s)
-
-
-def zminus_act(m, s):
-    """Component m of the lowering Z-operator, charge down by one."""
-    return z_act_full("-", m, s)
-
-
 def _pair_term(s1, s2, j1, j2, key):
     """Z^{s1}(j1) Z^{s2}(j2) on a basis key (w, p): (key, int) or None."""
     inner = _z_basis(s2, j2, key)

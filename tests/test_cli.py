@@ -1,12 +1,17 @@
 import ast
 import inspect
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sl2crit import harness, rep, wedge, zalg
+from sl2crit import cli, harness, rep, wedge, zalg
 from sl2crit.cli import (ACT_SIZE_LIMIT, SUITE_DEFAULTS, build_spec, main,
                          read_config)
 
@@ -110,7 +115,7 @@ class TestAct:
                            "--state", path)
         assert code == 0 and time.monotonic() - start < 5
         got = rep.state_from_json(json.loads(out))
-        want = zalg.zplus_act(-10, zalg.omega_basis())
+        want = zalg.z_act_full("+", -10, zalg.omega_basis())
         assert got == rep.State({((1,) * 10,) + k: c for k, c in want})
 
     def test_moded_without_mode(self, capsys, tmp_path):
@@ -208,6 +213,102 @@ class TestAct:
         assert code == 0
         code, out2, _ = run(capsys, "act", "--op", "c", "--state", path)
         assert out1 == out2
+
+
+def _cli_process(*argv):
+    """`sl2crit *argv` in a child process with 1 GB of address space and a
+    30 s timeout, so that a reader that does not stop fails the test
+    instead of taking the host's memory or hanging the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sl2crit.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (1 << 30, 1 << 30)))
+
+
+READING_OPTIONS = pytest.mark.parametrize("argv", [
+    ["act", "--op", "X", "--m", "0", "--state"],
+    ["verify", "hwv", "--config"],
+], ids=["state", "config"])
+
+
+@READING_OPTIONS
+def test_device_is_usage_error(argv):
+    # /dev/zero reads until memory runs out.
+    proc = _cli_process(*argv, "/dev/zero")
+    assert proc.returncode == 2 and not proc.stdout
+    assert "/dev/zero is not a regular file" in proc.stderr
+
+
+@READING_OPTIONS
+def test_pipe_is_usage_error(tmp_path, argv):
+    # Opening a FIFO for reading blocks until a writer opens it.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = _cli_process(*argv, str(fifo))
+    assert proc.returncode == 2 and not proc.stdout
+    assert f"{fifo} is not a regular file" in proc.stderr
+
+
+class TestSharedParser:
+    """`main` parses with the one module-level parser; these calls run in
+    sequence and check that nothing of one call reaches the next."""
+
+    def _state(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(rep.state_to_json(rep.v0())))
+        return str(path)
+
+    def test_main_builds_no_parser(self, capsys, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+        monkeypatch.setattr(cli, "make_parser", refuse)
+        code, out, _ = run(capsys, "act", "--op", "f0",
+                           "--state", self._state(tmp_path))
+        assert code == 0 and json.loads(out)["terms"]
+        code, out, _ = run(capsys, "verify", "hwv")
+        assert code == 0 and json.loads(out)["passed"]
+
+    def test_mode_does_not_leak(self, capsys, tmp_path):
+        path = self._state(tmp_path)
+        code, _, _ = run(capsys, "act", "--op", "X", "--m", "1",
+                         "--state", path)
+        assert code == 0
+        code, _, err = run(capsys, "act", "--op", "d", "--state", path)
+        assert code == 0 and not err
+
+    def test_format_does_not_leak(self, capsys):
+        code, out, _ = run(capsys, "character", "--max-twice-deg", "2",
+                           "--format", "csv")
+        assert code == 0 and out.startswith("twice_degree,")
+        code, out, _ = run(capsys, "character", "--max-twice-deg", "2")
+        assert code == 0 and json.loads(out)["matches"] is True
+
+    def test_out_does_not_leak(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "verify", "hwv", "--out", "D")
+        assert code == 0 and (tmp_path / "D" / "report_hwv.json").exists()
+        (tmp_path / "D" / "report_hwv.json").unlink()
+        code, _, _ = run(capsys, "verify", "hwv")
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["D"]
+        assert not os.listdir(tmp_path / "D")
+
+    def test_usage_error_then_valid_call(self, capsys, tmp_path):
+        path = self._state(tmp_path)
+        code, _, _ = run(capsys, "act", "--op", "bogus", "--state", path)
+        assert code == 2
+        code, out, _ = run(capsys, "act", "--op", "c", "--state", path)
+        assert code == 0 and json.loads(out)["terms"]
+
+    def test_help_twice(self, capsys):
+        code, first, _ = run(capsys, "--help")
+        assert code == 0 and "usage: sl2crit" in first
+        code, second, _ = run(capsys, "--help")
+        assert code == 0 and second == first
 
 
 class TestProbe:

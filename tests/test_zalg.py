@@ -8,38 +8,38 @@ from sl2crit import fock, rep, wedge, zalg
 from sl2crit.harness import state_basis, wedge_bases_up_to
 from sl2crit.zalg import (NotInVacuumSpace, OmegaState, gen_commutator,
                           omega_basis, omega_embed, omega_project,
-                          zminus_act, zop_via_definition, zplus_act)
+                          z_act_full, zop_via_definition)
 
 
 class TestModedOperators:
     def test_zplus_zero_on_vacuum(self):
         # Mode -1/2 would duplicate the fixed factor: annihilated.
-        assert zplus_act(0, omega_basis()).is_zero()
+        assert z_act_full("+", 0, omega_basis()).is_zero()
 
     def test_zplus_minus_one_on_vacuum(self):
         want = omega_basis(wedge.WedgeBasis((-3,), ()), 1, -2)
-        assert zplus_act(-1, omega_basis()) == want
+        assert z_act_full("+", -1, omega_basis()) == want
 
     def test_zplus_matches_raising_component(self):
-        got = omega_embed(zplus_act(-1, omega_basis()))
+        got = omega_embed(z_act_full("+", -1, omega_basis()))
         assert got == rep.x_act(-1, rep.v0())
 
     def test_zminus_edge_cases_on_vacuum(self):
-        assert zminus_act(0, omega_basis()).is_zero()
-        assert zminus_act(1, omega_basis()).is_zero()
+        assert z_act_full("-", 0, omega_basis()).is_zero()
+        assert z_act_full("-", 1, omega_basis()).is_zero()
 
     def test_zminus_minus_one_on_vacuum(self):
         # astar mode -3/2 removes the second word letter: sign -1, scalar
         # -2, net +2 (the literal-word oracle in test_wedge fixes this).
         want = omega_basis(wedge.WedgeBasis((), (3,)), -1, 2)
-        assert zminus_act(-1, omega_basis()) == want
+        assert z_act_full("-", -1, omega_basis()) == want
 
     def test_charge_shifts(self):
         s = omega_basis(wedge.WedgeBasis((-3,), ()), 1)
         for m in range(-3, 4):
-            for (w2, p2), _ in zplus_act(m, s):
+            for (w2, p2), _ in z_act_full("+", m, s):
                 assert p2 == 2 and w2.charge == 2
-            for (w2, p2), _ in zminus_act(m, s):
+            for (w2, p2), _ in z_act_full("-", m, s):
                 assert p2 == 0 and w2.charge == 0
 
 
@@ -179,9 +179,9 @@ class TestDefinitionEquivalence:
                 emb = omega_embed(s)
                 for m in range(-3, 4):
                     assert zop_via_definition("+", m, emb) \
-                        == omega_embed(zplus_act(m, s)), ("+", w, p, m)
+                        == omega_embed(z_act_full("+", m, s)), ("+", w, p, m)
                     assert zop_via_definition("-", m, emb) \
-                        == omega_embed(zminus_act(m, s)), ("-", w, p, m)
+                        == omega_embed(z_act_full("-", m, s)), ("-", w, p, m)
 
     def test_z_plus_zero_on_embedded_vacuum(self):
         assert zop_via_definition("+", 0, rep.v0()).is_zero()
