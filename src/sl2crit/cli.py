@@ -145,7 +145,7 @@ def cmd_act(args, config):
         return 2
     try:
         state = rep.state_from_json(json.loads(read_input(args.state)))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read state: {exc}", file=sys.stderr)
         return 2
     size = max((sum(mono) + w.degree() + abs(p)
@@ -154,7 +154,7 @@ def cmd_act(args, config):
         print(f"input size {size} exceeds the act limit {ACT_SIZE_LIMIT}",
               file=sys.stderr)
         return 2
-    payload = json.dumps(rep.state_to_json(action(args.m, state)), indent=2)
+    payload = rep.state_text(action(args.m, state))
     write_artifact(args.out, "act_result.json", payload)
     print(payload)
     return 0

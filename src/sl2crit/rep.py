@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import fock, wedge
 from .linear import LinearCombination, combine
@@ -293,16 +294,67 @@ def state_to_json(s):
                       for key in sorted(s.terms, key=order)]}
 
 
+# One term of state_to_json as json.dumps(indent=2) writes it at the depth
+# of the "terms" list: coeff, the "fock" line or nothing, neg, holes, charge.
+_TERM = """\
+    {
+      "coeff": %s,
+%s      "wedge": {
+        "neg": %s,
+        "holes": %s
+      },
+      "charge": %s
+    }"""
+
+
+def _list_text(items, indent):
+    """A list of encoded items with its entries at `indent`, as indent-2
+    json.dumps writes it as the value of a key."""
+    items = list(items)
+    if not items:
+        return "[]"
+    pad = " " * indent
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[2:]}]"
+
+
+def _term_text(term):
+    w = term["wedge"]
+    fock_line = (f'      "fock": {_list_text(map(str, term["fock"]), 8)},\n'
+                 if "fock" in term else "")
+    return _TERM % (_quote(term["coeff"]), fock_line,
+                    _list_text(map(_quote, w["neg"]), 10),
+                    _list_text(map(_quote, w["holes"]), 10), term["charge"])
+
+
+def state_text(s):
+    """json.dumps(state_to_json(s), indent=2), written from the fixed layout
+    of a term: strings through the C escaper of the json module, ints
+    through str.  The json module encodes indented output in pure Python,
+    which made it the largest cost of `sl2crit act`."""
+    terms = state_to_json(s)["terms"]
+    if not terms:
+        return '{\n  "terms": []\n}'
+    return ('{\n  "terms": [\n' + ",\n".join(map(_term_text, terms))
+            + "\n  ]\n}")
+
+
 def state_from_json(data, cls=State):
-    """Inverse of state_to_json for `cls`, State or OmegaState; malformed
-    input raises ValueError (a missing field raises KeyError)."""
+    """Inverse of state_to_json for `cls`, State or OmegaState.  Malformed
+    input raises ValueError: a missing field is named with the index of its
+    term, and a nonempty "fock" in an OmegaState term is refused."""
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list) or not all(isinstance(t, dict)
                                               for t in terms):
         raise ValueError('expected {"terms": [term, ...]}')
+    full = issubclass(cls, State)
     out = {}
-    for term in terms:
-        coeff, charge = term["coeff"], term["charge"]
+    for i, term in enumerate(terms):
+        try:
+            coeff, charge, w = term["coeff"], term["charge"], term["wedge"]
+            mono = term["fock"] if full else term.get("fock", [])
+        except KeyError as exc:
+            raise ValueError(f"term {i} has no {exc.args[0]!r} field") \
+                from None
         if type(coeff) not in (int, str) or type(charge) is not int:
             raise ValueError(f"bad coeff or charge in {term!r}")
         # "n" or "n/d" by int(): Fraction("1e100000000") builds 10**100000000.
@@ -311,8 +363,11 @@ def state_from_json(data, cls=State):
             coeff = Fraction(int(num), int(den) if slash else 1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {term!r}") from None
-        key = (wedge.parse_basis(term["wedge"]), charge)
-        if issubclass(cls, State):
-            key = (fock.parse_monomial(term["fock"]),) + key
+        key = (wedge.parse_basis(w), charge)
+        if full:
+            key = (fock.parse_monomial(mono),) + key
+        elif mono != []:
+            raise ValueError(f"term {i} of a vacuum-space state has a Fock "
+                             f"factor: {mono!r}")
         out[key] = out.get(key, 0) + coeff
     return cls(out)

@@ -164,9 +164,12 @@ def _parse_label(s):
 
 
 def parse_basis(data):
-    """Inverse of serialize_basis; malformed input raises ValueError."""
+    """Inverse of serialize_basis; a missing key is an empty list, and
+    malformed input, an unknown key included, raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"wedge must be an object: {data!r}")
+    if not data.keys() <= {"neg", "holes"}:
+        raise ValueError(f"wedge keys are neg and holes: {data!r}")
     labels = [data.get("neg", []), data.get("holes", [])]
     if any(not isinstance(ls, list) or any(not isinstance(s, str) for s in ls)
            for ls in labels):

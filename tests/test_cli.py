@@ -147,10 +147,12 @@ class TestAct:
         {"wedge": {"neg": [], "holes": ["1.5"]}},
         {"wedge": {"neg": [], "holes": ["3/2/2"]}},
         {"coeff": "1e3"}, {"coeff": "0.5"},
+        {"wedge": {"neg": ["-3/2"], "hole": ["3/2"]}},
     ], ids=["fock-str", "fock-float", "coeff-zero-den", "charge-float",
             "charge-bool", "wedge-int-label", "wedge-label-quarter",
             "wedge-label-even", "wedge-label-over-one", "wedge-label-decimal",
-            "wedge-label-two-slashes", "coeff-exponent", "coeff-decimal"])
+            "wedge-label-two-slashes", "coeff-exponent", "coeff-decimal",
+            "wedge-key-typo"])
     def test_malformed_term_is_usage_error(self, capsys, tmp_path, change):
         term = {**rep.state_to_json(rep.v0())["terms"][0], **change}
         self._check_malformed(capsys, tmp_path, {"terms": [term]})
@@ -160,6 +162,13 @@ class TestAct:
     def test_malformed_shape_is_usage_error(self, capsys, tmp_path, data):
         self._check_malformed(capsys, tmp_path, data)
 
+    @pytest.mark.parametrize("field", ["coeff", "fock", "wedge", "charge"])
+    def test_missing_field_is_named(self, capsys, tmp_path, field):
+        terms = rep.state_to_json(rep.v0() + rep.v1())["terms"]
+        del terms[1][field]
+        err = self._check_malformed(capsys, tmp_path, {"terms": terms})
+        assert f"term 1 has no '{field}' field" in err
+
     def _check_malformed(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -167,6 +176,7 @@ class TestAct:
                              "--state", str(bad))
         assert code == 2 and not out
         assert "cannot read state" in err
+        return err
 
     def test_huge_charge_is_usage_error(self, capsys, tmp_path):
         path = self._write_state(tmp_path, rep.basis_state(charge=100000))
@@ -207,10 +217,17 @@ class TestAct:
 
     def test_output_is_canonical(self, capsys, tmp_path):
         s = (rep.basis_state((1,), wedge.VACUUM, 0, Fraction(1, 2))
+             + rep.basis_state((2, 1), wedge.WedgeBasis((-3,), (5,)), -1,
+                               Fraction(-3, 4))
              + rep.v0())
         path = self._write_state(tmp_path, s)
-        code, out1, _ = run(capsys, "act", "--op", "c", "--state", path)
+        outdir = tmp_path / "out"
+        code, out1, _ = run(capsys, "act", "--op", "c", "--state", path,
+                            "--out", str(outdir))
         assert code == 0
+        assert out1 == json.dumps(rep.state_to_json(rep.c_act(s)),
+                                  indent=2) + "\n"
+        assert (outdir / "act_result.json").read_text() == out1[:-1]
         code, out2, _ = run(capsys, "act", "--op", "c", "--state", path)
         assert out1 == out2
 

@@ -1,6 +1,6 @@
-"""Golden report bytes: SHA-256 digests of the JSON that the suites and the
-state codec write, so that a refactor of either shows up as a changed
-digest.
+"""Golden report bytes: SHA-256 digests of the JSON that the suites, the
+state codec and `sl2crit act` write, so that a refactor of any of them
+shows up as a changed digest.
 
 Failure entries are produced by patching one operator so that a small
 suite records residuals through its own recording path; one injected
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2crit import fock, harness, rep, wedge, zalg
+from sl2crit import cli, fock, harness, rep, wedge, zalg
 from sl2crit.harness import CheckSpec
 
 
@@ -60,6 +60,23 @@ def test_state_codec_bytes():
     assert len(data["terms"]) == 42
     assert digest(data) == (
         "99018adedd3865fbe8aa945f93adb1d6f73f4cf8577a8a320c07d8df4578340e")
+
+
+def test_act_output_bytes(capsys, tmp_path):
+    # Every operator on v0, v1 and H(-1)^3, at modes -2..2 for the moded
+    # ones: the concatenated stdout of 99 calls.
+    out = []
+    for i, s in enumerate([rep.v0(), rep.v1(), rep.basis_state((1, 1, 1))]):
+        path = tmp_path / f"state{i}.json"
+        path.write_text(json.dumps(rep.state_to_json(s)))
+        for op, (moded, _) in sorted(cli.OPS.items()):
+            for m in range(-2, 3) if moded else [None]:
+                argv = ["act", "--op", op, "--state", str(path)]
+                assert cli.main(argv + (["--m", str(m)] if moded else [])) == 0
+                out.append(capsys.readouterr().out)
+    assert len(out) == 99
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "22b995d687acc95a615898a9ab0c2b3150bd084876e58be77f269f55dd221db5")
 
 
 def _adding(module, name, extra):

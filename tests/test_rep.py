@@ -5,10 +5,12 @@ field mode by mode, the lattice z-power literally) and the z-coefficient
 is extracted from the triple convolution."""
 
 import importlib
+import json
 import pkgutil
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sl2crit
 from sl2crit import fock, rep, wedge, zalg
@@ -17,6 +19,7 @@ from sl2crit.harness import CheckSpec, state_basis, verify_current_relations
 from sl2crit.rep import (NotAWeightVector, State, alpha0_eig, basis_state,
                          c_act, chevalley_act, d_act, h_act_full,
                          lattice_d_eig, v0, v1, weight_of, x_act, y_act)
+from sl2crit.zalg import OmegaState
 
 N_TRUNC = 8
 
@@ -357,6 +360,36 @@ def test_state_serialization_round_trip():
     s = (basis_state((3, 1), wedge.WedgeBasis((-5,), (3,)), 2, Fraction(7, 3))
          + v1().scale(-1))
     assert rep.state_from_json(rep.state_to_json(s)) == s
+
+
+# Wedges with up to three extra negative factors in -11/2..-3/2 and up to
+# three holes in 3/2..11/2, as doubled indices.
+WEDGES = st.builds(
+    lambda neg, holes: wedge.WedgeBasis(tuple(sorted(neg)),
+                                        tuple(sorted(holes))),
+    st.sets(st.sampled_from(range(-11, -1, 2)), max_size=3),
+    st.sets(st.sampled_from(range(3, 13, 2)), max_size=3))
+COEFFS = st.fractions(-20, 20, max_denominator=12).filter(bool)
+CHARGES = st.integers(-3, 3)
+MONOMIALS = st.lists(st.integers(1, 4), max_size=4).map(
+    lambda parts: fock.monomial(*parts))
+STATES = st.one_of(
+    st.dictionaries(st.tuples(MONOMIALS, WEDGES, CHARGES), COEFFS,
+                    max_size=6).map(State),
+    st.dictionaries(st.tuples(WEDGES, CHARGES), COEFFS,
+                    max_size=6).map(OmegaState))
+
+
+@settings(max_examples=150, deadline=None)
+@given(STATES)
+@example(State())
+@example(OmegaState())
+@example(basis_state((), wedge.WedgeBasis((-5, -3), (3, 9)), -2,
+                     Fraction(-7, 4)))
+def test_state_text_is_indent_2_json(s):
+    text = rep.state_text(s)
+    assert text == json.dumps(rep.state_to_json(s), indent=2)
+    assert rep.state_from_json(json.loads(text), type(s)) == s
 
 
 def test_unknown_generator():

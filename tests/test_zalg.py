@@ -309,3 +309,11 @@ def test_omega_serialization_round_trip():
     s = omega_basis(wedge.WedgeBasis((-3,), (5,)), -2, Fraction(-1, 4))
     assert rep.state_from_json(rep.state_to_json(s), OmegaState) == s
     assert "fock" not in rep.state_to_json(s)["terms"][0]
+
+
+def test_omega_state_refuses_fock_factor():
+    term = rep.state_to_json(omega_basis())["terms"][0]
+    empty = {"terms": [{**term, "fock": []}]}
+    assert rep.state_from_json(empty, OmegaState) == omega_basis()
+    with pytest.raises(ValueError, match="term 0 .* Fock factor"):
+        rep.state_from_json({"terms": [{**term, "fock": [2]}]}, OmegaState)
