@@ -7,7 +7,6 @@ Exit codes: 0 pass, 1 nonzero residual / mismatch, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import stat
 import sys
@@ -42,7 +41,11 @@ OPS = {
        for g in ("e0", "e1", "f0", "f1", "h0", "h1")},
 }
 
-SPEC_KEYS = [f.name for f in dataclasses.fields(CheckSpec)]
+SPEC_KEYS = CheckSpec._fields
+
+# Largest input file, in bytes.  The largest `act` output, X(-20) on v0, is
+# 507 KB; a larger file is refused before it is read into memory.
+INPUT_SIZE_LIMIT = 1 << 24
 
 # Largest `act` input: max over terms of Fock degree + wedge degree + |charge|,
 # plus |m|.  Costs grow like partition numbers; X(-20) on v0 has 2,087 terms.
@@ -52,16 +55,21 @@ ACT_SIZE_LIMIT = 20
 def read_input(path):
     """The text of the file at `path`.  Anything but a regular file is a
     ValueError: a device such as /dev/zero reads until memory runs out, and
-    a pipe blocks until a writer comes."""
+    a pipe blocks until a writer comes.  So is a file above
+    INPUT_SIZE_LIMIT bytes."""
     path = Path(path)
-    if not stat.S_ISREG(path.stat().st_mode):
+    info = path.stat()
+    if not stat.S_ISREG(info.st_mode):
         raise ValueError(f"{path} is not a regular file")
+    if info.st_size > INPUT_SIZE_LIMIT:
+        raise ValueError(f"{path} has {info.st_size} bytes, above the input "
+                         f"limit of {INPUT_SIZE_LIMIT}")
     return path.read_text()
 
 
 def read_config(path):
     """Simple key=value config; '#' starts a comment.  Keys are CheckSpec
-    fields."""
+    fields, and values integers."""
     out = {}
     for line in read_input(path).splitlines():
         line = line.split("#", 1)[0].strip()
@@ -73,7 +81,10 @@ def read_config(path):
         if key not in SPEC_KEYS:
             raise ValueError(f"unknown config key {key!r}; expected one of "
                              f"{', '.join(SPEC_KEYS)}")
-        out[key] = value
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise ValueError(f"{key} = {value!r} is not an integer") from None
     return out
 
 
@@ -82,7 +93,7 @@ def build_spec(suite, args, config, names=()):
     the command line.  A field set there that neither the suite nor any of
     `names` (the suites of the same run) reads is a usage error; the suite
     gets the fields it reads."""
-    given = {key: int(value) for key, value in config.items()}
+    given = dict(config)
     given.update((key, getattr(args, key)) for key in SPEC_KEYS
                  if getattr(args, key, None) is not None)
     reads = SUITE_DEFAULTS[suite]

@@ -30,8 +30,23 @@ class FockElement(LinearCombination):
 
 ONE = FockElement.basis(())
 
+# Entries kept by the three caches below; each bound is a few times the
+# largest count measured at an acceptance window, so those windows evict
+# nothing, and any larger window recomputes instead of growing the process.
+# _partitions holds one entry per (n, distinct): 12 after criterion 2, 14
+# after the census through twice-degree 12.
+PARTITION_CACHE_SIZE = 1 << 6
+# _e_coeff_monomial holds 4,280 entries after criterion 2, 6,680 after
+# criterion 4 and 848 after criterion 6.
+E_CACHE_SIZE = 1 << 14
+# A _vertex_monomial row depends only on (sup, k, mono), so X and Y share
+# it across every wedge, charge and mode with the same k: the current suite
+# at window (3,5,2) makes 16,330 lookups on 844 rows, at (4,10,2) 361,710
+# on 3,990.
+VERTEX_CACHE_SIZE = 1 << 14
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=PARTITION_CACHE_SIZE)
 def _partitions(n, distinct=False):
     """All partitions of n as descending tuples (cached); with `distinct`,
     only those into distinct parts."""
@@ -85,7 +100,7 @@ def _e_den(k):
     return 2 ** k * factorial(k) if k > 0 else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=E_CACHE_SIZE)
 def _e_coeff_monomial(sup, sub, k, mono):
     """z^k coefficient of the exponential operator applied to a monomial,
     times _e_den(k): a tuple of (monomial, int) pairs.
@@ -124,13 +139,6 @@ def _e_coeff_monomial(sup, sub, k, mono):
         raise ArithmeticError(f"E^{sup}_{sub} coefficient at z^{k} on "
                               f"{mono} times {den} is not an integer")
     return tuple((m, q) for m, q, _ in rows)
-
-
-# Entries kept by the _vertex_monomial cache.  A row depends only on
-# (sup, k, mono), so X and Y share it across every wedge, charge and mode
-# with the same k: the current suite at window (3,5,2) makes 16,330
-# lookups on 844 rows, at (4,10,2) 361,710 on 3,990.
-VERTEX_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=VERTEX_CACHE_SIZE)

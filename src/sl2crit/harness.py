@@ -9,7 +9,7 @@ check specifications produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 from math import isqrt
@@ -34,31 +34,31 @@ CONVENTION_NOTES = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(namedtuple("CheckSpec", ("mode_bound", "max_twice_deg",
+                                         "charge_bound", "wedge_deg_cap"))):
     """Finite verification window: mode range, grade caps, charge range."""
 
-    mode_bound: int = 4
-    max_twice_deg: int = 10
-    charge_bound: int = 2
-    wedge_deg_cap: int = 8
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.mode_bound, self.max_twice_deg, self.charge_bound,
-               self.wedge_deg_cap) < 0:
+    def __new__(cls, mode_bound=4, max_twice_deg=10, charge_bound=2,
+                wedge_deg_cap=8):
+        if min(mode_bound, max_twice_deg, charge_bound, wedge_deg_cap) < 0:
             raise ValueError("bounds must be nonnegative")
+        return super().__new__(cls, mode_bound, max_twice_deg, charge_bound,
+                               wedge_deg_cap)
 
 
-@dataclass
 class Report:
     """Outcome of one suite: counts, failing residuals, convention notes."""
 
-    suite: str
-    params: dict
-    checks_run: int = 0
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=lambda: list(CONVENTION_NOTES))
-    extra: dict = field(default_factory=dict)
+    def __init__(self, suite, params, checks_run=0, failures=None,
+                 notes=None, extra=None):
+        self.suite = suite
+        self.params = params
+        self.checks_run = checks_run
+        self.failures = [] if failures is None else failures
+        self.notes = list(CONVENTION_NOTES) if notes is None else notes
+        self.extra = {} if extra is None else extra
 
     @property
     def passed(self):
@@ -319,7 +319,7 @@ def verify_hwv():
                           ("v1", v1, (Fraction(0), Fraction(-2),
                                       Fraction(-1, 2)))]:
         got = rep.weight_of(v)
-        ok = (got.h0, got.h1, got.d) == want
+        ok = got == want
         weights[name] = [str(x) for x in want]
         report.check(f"weight_{name}", weights[name], "",
                      None if ok else got)

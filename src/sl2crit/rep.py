@@ -14,7 +14,7 @@ on the two canonical highest weight vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -58,11 +58,7 @@ class NotAWeightVector(ValueError):
     """Raised when a state is not a simultaneous h0/h1/d eigenvector."""
 
 
-@dataclass(frozen=True)
-class WeightTriple:
-    h0: Fraction
-    h1: Fraction
-    d: Fraction
+WeightTriple = namedtuple("WeightTriple", ("h0", "h1", "d"))
 
 
 # Entries kept by the _z_basis cache.  X, Y and the Z-operators apply the

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from sl2crit import cli, harness, rep, wedge, zalg
-from sl2crit.cli import (ACT_SIZE_LIMIT, SUITE_DEFAULTS, build_spec, main,
-                         read_config)
+from sl2crit.cli import (ACT_SIZE_LIMIT, INPUT_SIZE_LIMIT, SUITE_DEFAULTS,
+                         build_spec, main, read_config, read_input)
 
 
 def run(capsys, *argv):
@@ -270,6 +270,28 @@ def test_pipe_is_usage_error(tmp_path, argv):
     assert f"{fifo} is not a regular file" in proc.stderr
 
 
+@READING_OPTIONS
+def test_oversized_file_is_usage_error(tmp_path, argv):
+    # A sparse file of 2 GB: it takes no disk, and reading it would raise
+    # MemoryError under the child's 1 GB of address space.
+    big = tmp_path / "big"
+    big.touch()
+    os.truncate(big, 2 << 30)
+    proc = _cli_process(*argv, str(big))
+    assert proc.returncode == 2 and not proc.stdout
+    assert f"{big} has {2 << 30} bytes, above the input limit" in proc.stderr
+
+
+def test_input_size_limit_is_inclusive(tmp_path):
+    path = tmp_path / "state"
+    path.touch()
+    os.truncate(path, INPUT_SIZE_LIMIT)
+    assert len(read_input(path)) == INPUT_SIZE_LIMIT
+    os.truncate(path, INPUT_SIZE_LIMIT + 1)
+    with pytest.raises(ValueError, match="above the input limit"):
+        read_input(path)
+
+
 class TestSharedParser:
     """`main` parses with the one module-level parser; these calls run in
     sequence and check that nothing of one call reaches the next."""
@@ -343,7 +365,7 @@ class TestConfig:
     def test_read_config(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("mode_bound = 3  # window\n\nmax_twice_deg=8\n")
-        assert read_config(cfg) == {"mode_bound": "3", "max_twice_deg": "8"}
+        assert read_config(cfg) == {"mode_bound": 3, "max_twice_deg": 8}
 
     def test_bad_line(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -378,6 +400,18 @@ class TestConfig:
         code, out, err = run(capsys, "verify", "hwv", "--config", str(cfg))
         assert code == 2 and not out
         assert "bad config" in err and "mode_bond" in err
+
+    @pytest.mark.parametrize("command,key", [
+        (["verify", "clifford"], "mode_bound"),
+        (["character"], "max_twice_deg"),
+    ])
+    def test_non_integer_value_names_the_key(self, capsys, tmp_path,
+                                             command, key):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key} = x\n")
+        code, out, err = run(capsys, *command, "--config", str(cfg))
+        assert code == 2 and not out
+        assert err == f"bad config: {key} = 'x' is not an integer\n"
 
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "hwv",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2crit import fock, harness, rep
+from sl2crit import cli, fock, harness, rep
 from sl2crit.harness import (CheckSpec, character,
                              character_csv, character_matches,
                              d_homogeneity_probe, state_basis,
@@ -29,6 +29,26 @@ class TestEnumeration:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             CheckSpec(mode_bound=-1)
+
+    def test_spec_contract(self):
+        assert cli.SPEC_KEYS == ("mode_bound", "max_twice_deg",
+                                 "charge_bound", "wedge_deg_cap")
+        default = CheckSpec()
+        assert [getattr(default, key) for key in cli.SPEC_KEYS] \
+            == [4, 10, 2, 8]
+        spec = CheckSpec(**{"charge_bound": 1, "mode_bound": 3})
+        assert spec == CheckSpec(3, 10, 1, 8)
+        assert repr(spec) == ("CheckSpec(mode_bound=3, max_twice_deg=10, "
+                              "charge_bound=1, wedge_deg_cap=8)")
+        for key in cli.SPEC_KEYS:
+            with pytest.raises(ValueError, match="bounds must be nonneg"):
+                CheckSpec(**{key: -1})
+        with pytest.raises(TypeError):
+            CheckSpec(mode_bond=1)
+        with pytest.raises(AttributeError):
+            spec.mode_bound = 5
+        with pytest.raises(AttributeError):
+            spec.window = 1
 
 
 class TestSuitesSmall:

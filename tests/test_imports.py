@@ -2,6 +2,9 @@
 this tree, so an import orphaned by a refactor shows up here."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +31,15 @@ def test_module_imports_are_used(path):
                 for name in _bound_names(node)]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in used] == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Every sl2crit process pays its imports; these two cost about 10 ms.
+    # A child process, so that the modules pytest imported do not count.
+    src = str(Path(sl2crit.__file__).parents[1])
+    code = ("import sl2crit.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

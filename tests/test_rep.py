@@ -341,19 +341,31 @@ class TestSectors:
         assert set().union(*seen) == sectors
 
 
-def test_cached_functions_are_the_exponential_tables_and_z_basis():
-    # The field kernels are uncached; the only caches are the partition,
-    # exponential and vertex tables in fock and the Z kernel that X, Y
-    # and Z± share, whose bounds test_zalg checks.
-    cached = set()
+def _cached_functions():
+    """Module-level cached functions of the package, by module.name."""
+    cached = {}
     for info in pkgutil.iter_modules(sl2crit.__path__):
         mod = importlib.import_module(f"sl2crit.{info.name}")
-        cached.update(f"{info.name}.{name}"
+        cached.update((f"{info.name}.{name}", obj)
                       for name, obj in vars(mod).items()
                       if hasattr(obj, "cache_info")
                       and obj.__module__ == mod.__name__)
-    assert cached == {"fock._partitions", "fock._e_coeff_monomial",
-                      "fock._vertex_monomial", "rep._z_basis"}
+    return cached
+
+
+def test_cached_functions_are_the_exponential_tables_and_z_basis():
+    # The field kernels are uncached; the only caches are the partition,
+    # exponential and vertex tables in fock and the Z kernel that X, Y
+    # and Z± share.
+    assert set(_cached_functions()) == {
+        "fock._partitions", "fock._e_coeff_monomial",
+        "fock._vertex_monomial", "rep._z_basis"}
+
+
+def test_every_cache_is_bounded():
+    unbounded = [name for name, fn in _cached_functions().items()
+                 if fn.cache_info().maxsize is None]
+    assert unbounded == []
 
 
 def test_state_serialization_round_trip():
