@@ -12,7 +12,7 @@ import stat
 import sys
 from pathlib import Path
 
-from . import harness, rep, zalg
+from . import harness, rep
 from .harness import ALL_SUITES, CheckSpec
 
 # Each command's default window; its keys are exactly the CheckSpec fields
@@ -27,18 +27,15 @@ SUITE_DEFAULTS = {
     "probe-d": {"mode_bound": 2, "max_twice_deg": 6, "charge_bound": 2},
 }
 
-# Operator name -> (takes --m, action on (m, state)).  The actions look
-# the library functions up when called.
+# Operator name -> (takes --m, action on (m, state)): every kernel of
+# rep.KERNELS, moded but for d, then c and the Chevalley generators.  The
+# actions look the library functions up when called.
 OPS = {
-    "X": (True, lambda m, s: rep.x_act(m, s)),
-    "Y": (True, lambda m, s: rep.y_act(m, s)),
-    "H": (True, lambda m, s: rep.h_act_full(m, s)),
-    "Z+": (True, lambda m, s: zalg.z_act_full("+", m, s)),
-    "Z-": (True, lambda m, s: zalg.z_act_full("-", m, s)),
-    "d": (False, lambda m, s: rep.d_act(s)),
+    **{op: (op != "d", lambda m, s, op=op: rep.act(op, m or 0, s))
+       for op in rep.KERNELS},
     "c": (False, lambda m, s: rep.c_act(s)),
     **{g: (False, lambda m, s, g=g: rep.chevalley_act(g, s))
-       for g in ("e0", "e1", "f0", "f1", "h0", "h1")},
+       for g in (*rep.CHEVALLEY, "h0")},
 }
 
 SPEC_KEYS = CheckSpec._fields
@@ -50,6 +47,18 @@ INPUT_SIZE_LIMIT = 1 << 24
 # Largest `act` input: max over terms of Fock degree + wedge degree + |charge|,
 # plus |m|.  Costs grow like partition numbers; X(-20) on v0 has 2,087 terms.
 ACT_SIZE_LIMIT = 20
+
+# Largest value of each window field, from the config or the command line:
+# the largest that an acceptance window, a SUITE_DEFAULTS value or the
+# documented `verify zalg --mode-bound 4` uses.  With every field at its
+# cap, `verify current` takes about 4 min and 1.4 GB; every other command
+# under 10 s and 41 MB.
+MODE_BOUND_LIMIT = 6
+MAX_TWICE_DEG_LIMIT = 12
+CHARGE_BOUND_LIMIT = 2
+WEDGE_DEG_CAP_LIMIT = 8
+WINDOW_LIMITS = dict(zip(SPEC_KEYS, (MODE_BOUND_LIMIT, MAX_TWICE_DEG_LIMIT,
+                                     CHARGE_BOUND_LIMIT, WEDGE_DEG_CAP_LIMIT)))
 
 
 def read_input(path):
@@ -91,8 +100,8 @@ def read_config(path):
 def build_spec(suite, args, config, names=()):
     """The suite's default window, overridden by the config, overridden by
     the command line.  A field set there that neither the suite nor any of
-    `names` (the suites of the same run) reads is a usage error; the suite
-    gets the fields it reads."""
+    `names` (the suites of the same run) reads is a usage error, and so is
+    a value above its WINDOW_LIMITS; the suite gets the fields it reads."""
     given = dict(config)
     given.update((key, getattr(args, key)) for key in SPEC_KEYS
                  if getattr(args, key, None) is not None)
@@ -100,6 +109,10 @@ def build_spec(suite, args, config, names=()):
     unread = set(given).difference(reads, *map(SUITE_DEFAULTS.get, names))
     if unread:
         raise ValueError(f"{suite} does not read {', '.join(sorted(unread))}")
+    for key, value in sorted(given.items()):
+        if value > WINDOW_LIMITS[key]:
+            raise ValueError(f"{key} = {value} is above its limit of "
+                             f"{WINDOW_LIMITS[key]}")
     return CheckSpec(**{key: given.get(key, value)
                         for key, value in reads.items()})
 

@@ -51,14 +51,13 @@ class CheckSpec(namedtuple("CheckSpec", ("mode_bound", "max_twice_deg",
 class Report:
     """Outcome of one suite: counts, failing residuals, convention notes."""
 
-    def __init__(self, suite, params, checks_run=0, failures=None,
-                 notes=None, extra=None):
+    def __init__(self, suite, params):
         self.suite = suite
         self.params = params
-        self.checks_run = checks_run
-        self.failures = [] if failures is None else failures
-        self.notes = list(CONVENTION_NOTES) if notes is None else notes
-        self.extra = {} if extra is None else extra
+        self.checks_run = 0
+        self.failures = []
+        self.notes = list(CONVENTION_NOTES)
+        self.extra = {}
 
     @property
     def passed(self):
@@ -139,6 +138,17 @@ def _basis_label(key):
     return json.dumps(rep.key_to_json(key))
 
 
+def _sector_windows(spec):
+    """(window, id, key) for the keys of state_basis on spec, sector by
+    sector.  Every operator conserves the sector rep.sector(key), so each
+    sector gets its own rep.Window, dropped when the next one opens."""
+    basis = sorted(state_basis(spec.max_twice_deg, spec.charge_bound),
+                   key=rep.sector)
+    for _, keys in groupby(basis, key=rep.sector):
+        win = rep.Window()
+        yield from ((win, win.intern(key), key) for key in keys)
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -155,14 +165,16 @@ def verify_clifford(spec):
     for w in bases:
         v = wedge.WedgeElement.basis(w)
         label = _basis_label(w)
+        inner = {(k, t): wedge.WedgeElement(dict(wedge._mode_terms(k, t, w)))
+                 for k in ("A", "A*") for t in modes}
         for m in modes:
             for n in modes:
                 for identity, a, b in pairs:
                     # {a(m), b(n)} is the pairing scalar for A, A*, else 0.
                     pairing = (contraction_coeff(m, n)
                                + contraction_coeff(n, m)) if a != b else 0
-                    res = (wedge.apply_mode(a, m, wedge._ACTIONS[b](n, w))
-                           + wedge.apply_mode(b, n, wedge._ACTIONS[a](m, w))
+                    res = (wedge.apply_mode(a, m, inner[b, n])
+                           + wedge.apply_mode(b, n, inner[a, m])
                            - v.scale(pairing))
                     report.check(identity, [f"{m}/2", f"{n}/2"], label,
                                  res)
@@ -172,47 +184,40 @@ def verify_clifford(spec):
 def verify_current_relations(spec):
     """Loop-algebra brackets of the realized fields, componentwise.
 
-    Every field conserves the sector rep.sector(key), so the fields are
-    compiled in one rep.Window per sector, dropped before the next sector
-    starts.  Each bracket is one integer sum of operator words on a key
-    over a common denominator, and it passes when that sum is zero; a
-    nonzero one is recorded as the same State residual.
+    The fields are compiled in one rep.Window per sector
+    (_sector_windows).  Each bracket is one integer sum of operator words
+    on a key over a common denominator, and it passes when that sum is
+    zero; a nonzero one is recorded as the same State residual.
     """
     report = Report("current", {"mode_bound": spec.mode_bound,
                                 "max_twice_deg": spec.max_twice_deg,
                                 "charge_bound": spec.charge_bound})
     M = spec.mode_bound
     fields = [("bracket_H_X", "X", 1), ("bracket_H_Y", "Y", -1)]
-    basis = sorted(state_basis(spec.max_twice_deg, spec.charge_bound),
-                   key=rep.sector)
-    for _, keys in groupby(basis, key=rep.sector):
-        win = rep.Window()
-        for key in keys:
-            i = win.intern(key)
-            label = _basis_label(key)
-            for m in range(-M, M + 1):
-                for n in range(-M, M + 1):
-                    # [H(m), F(n)] = +-2 F(m+n) for the charge +-1 fields.
-                    for identity, f, charge in fields:
-                        res = win.residual(
-                            i, (1, (("H", m), (f, n))),
-                            (-1, ((f, n), ("H", m))),
-                            (-2 * charge, ((f, m + n),)))
-                        report.check(identity, [m, n], label, res)
-                    xy = [(1, (("X", m), ("Y", n))),
-                          (-1, (("Y", n), ("X", m))),
-                          (-1, (("H", m + n),))]
+    for win, i, key in _sector_windows(spec):
+        label = _basis_label(key)
+        for m in range(-M, M + 1):
+            for n in range(-M, M + 1):
+                # [H(m), F(n)] = +-2 F(m+n) for the charge +-1 fields.
+                for identity, f, charge in fields:
+                    res = win.residual(i, (1, (("H", m), (f, n))),
+                                       (-1, ((f, n), ("H", m))),
+                                       (-2 * charge, ((f, m + n),)))
+                    report.check(identity, [m, n], label, res)
+                xy = [(1, (("X", m), ("Y", n))),
+                      (-1, (("Y", n), ("X", m))),
+                      (-1, (("H", m + n),))]
+                if m + n == 0:
+                    xy.append((2 * m, ()))
+                report.check("bracket_X_Y", [m, n], label,
+                             win.residual(i, *xy))
+                if m and n:
+                    hh = [(1, (("H", m), ("H", n))),
+                          (-1, (("H", n), ("H", m)))]
                     if m + n == 0:
-                        xy.append((2 * m, ()))
-                    report.check("bracket_X_Y", [m, n], label,
-                                 win.residual(i, *xy))
-                    if m and n:
-                        hh = [(1, (("H", m), ("H", n))),
-                              (-1, (("H", n), ("H", m)))]
-                        if m + n == 0:
-                            hh.append((4 * m, ()))
-                        report.check("bracket_H_H", [m, n], label,
-                                     win.residual(i, *hh))
+                        hh.append((4 * m, ()))
+                    report.check("bracket_H_H", [m, n], label,
+                                 win.residual(i, *hh))
     return report.finalize()
 
 
@@ -280,8 +285,6 @@ def verify_e_identities(spec):
                         if n == 0:
                             continue
                         a = j + 1 + n - b
-                        if a < 0:
-                            continue
                         mid = fock.h_act(n, inner).scale(Fraction(sgn, 2))
                         if not mid:
                             continue
@@ -451,23 +454,21 @@ def character_csv(table, kind="V"):
 # diagnostic probe
 
 def d_homogeneity_probe(spec):
-    """Residuals of [d, X(m)] - m X(m) (and the Y analogue) per charge
-    sector.  Informational: the report always passes; the residual
-    statistics are the payload."""
+    """Residuals of [d, F(m)] - m F(m), F = X, Y, H, per charge, each one
+    word sum in the window of its sector (_sector_windows).
+    Informational: the report always passes; the residual statistics are
+    the payload."""
     report = Report("probe-d", {"mode_bound": spec.mode_bound,
                                 "max_twice_deg": spec.max_twice_deg,
                                 "charge_bound": spec.charge_bound})
     stats = {}
-    for key in state_basis(spec.max_twice_deg, spec.charge_bound):
-        s = rep.State.basis(key)
-        p = key[2]
+    for win, i, key in _sector_windows(spec):
         for m in range(-spec.mode_bound, spec.mode_bound + 1):
-            for name, op in [("X", rep.x_act), ("Y", rep.y_act),
-                             ("H", rep.h_act_full)]:
-                image = op(m, s)
-                # op(m) d s = term_d_eig(key) op(m) s: s is a basis state.
-                res = rep.d_act(image) - image.scale(rep.term_d_eig(*key) + m)
-                entry = stats.setdefault((name, p), [0, 0])
+            for name in "XYH":
+                res = win.residual(i, (1, (("d", 0), (name, m))),
+                                   (-1, ((name, m), ("d", 0))),
+                                   (-m, ((name, m),)))
+                entry = stats.setdefault((name, key[2]), [0, 0])
                 entry[0] += 1
                 if res:
                     entry[1] += 1

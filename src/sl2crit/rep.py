@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import fock, wedge
@@ -130,14 +130,6 @@ def _field_basis(sign, m, fockmono, w, p):
     return out, den
 
 
-def x_act(m, s):
-    return s.map_basis(lambda key: _field_basis(1, m, *key))
-
-
-def y_act(m, s):
-    return s.map_basis(lambda key: _field_basis(-1, m, *key))
-
-
 def _h_terms(n, fockmono, w, p):
     """H(n) on a basis triple: ((key, nonzero int), ...).  The coefficient
     is 1 for n < 0, -4nk for n > 0 and 2p for n = 0."""
@@ -147,26 +139,62 @@ def _h_terms(n, fockmono, w, p):
                  for mono, c in fock._h_act_monomial(n, fockmono))
 
 
-def h_act_full(n, s):
-    """H(n) on V: the Fock Heisenberg for n != 0, the charge eigenvalue 2p
-    for n = 0."""
-    return s.map_basis(lambda key: (_h_terms(n, *key), 1))
+def _z_terms(sign, m, key):
+    """Z^sign(m) on the (w, p) end of a State or OmegaState key."""
+    term = _z_basis(sign, m, key[-2:])
+    return ((key[:-2] + term[0], term[1]),) if term else (), 1
+
+
+def term_d_eig(fockmono, w, p):
+    """d-eigenvalue of a basis triple: -(Fock degree) - (wedge degree)
+    - p^2/2."""
+    return Fraction(-sum(fockmono)) - w.degree() + lattice_d_eig(p)
+
+
+def _d_terms(key):
+    """d on a basis triple, as twice its eigenvalue over 2; () at 0."""
+    c = int(2 * term_d_eig(*key))
+    return ((key, c),) if c else (), 2
+
+
+# Operator name -> integer kernel (m, key) -> (((key2, int), ...), den), d
+# ignoring m.  Each entry looks its function up when called, so patches act.
+KERNELS = {
+    "X": lambda m, key: _field_basis(1, m, *key),
+    "Y": lambda m, key: _field_basis(-1, m, *key),
+    "H": lambda m, key: (_h_terms(m, *key), 1),
+    "Z+": lambda m, key: _z_terms("+", m, key),
+    "Z-": lambda m, key: _z_terms("-", m, key),
+    "d": lambda m, key: _d_terms(key),
+}
+
+
+def act(op, m, s):
+    """op(m) on a state: the linear extension of KERNELS[op]."""
+    return s.map_basis(partial(KERNELS[op], m))
+
+
+# The fields under their public names; d_act(s) takes no mode.
+x_act = partial(act, "X")
+y_act = partial(act, "Y")
+h_act_full = partial(act, "H")
+d_act = partial(act, "d", 0)
 
 
 def sector(key):
-    """The sector c = p - charge(w) of a basis triple.  X, Y, H and Z±
-    conserve it: X and Y shift p and the wedge charge together."""
+    """The sector c = p - charge(w) of a basis triple, which every operator
+    in KERNELS conserves: X, Y and Z± move p and charge(w) together."""
     return key[2] - key[1].charge
 
 
 class Window:
-    """X(m), Y(m) and H(m) compiled for one sector, fraction-free.
+    """The operators of KERNELS compiled for one sector, fraction-free.
 
     Basis keys are interned to int ids on first use, and the column of an
-    operator on an id is built once from _field_basis or _h_terms, as int
-    numerators over one column denominator (1 for H).  Every operator
-    conserves the sector, so a window opened for one sector only ever
-    interns keys of it.  The columns live as long as the window.
+    operator on an id is built once from its kernel, as int numerators
+    over one column denominator.  Every operator conserves the sector, so
+    a window opened for one sector only ever interns keys of it.  The
+    columns live as long as the window.
     """
 
     def __init__(self):
@@ -183,14 +211,10 @@ class Window:
         return i
 
     def _column(self, op, m, i):
-        """op(m) on id i, op one of "X", "Y", "H": (((id, int), ...), den)."""
+        """op(m) on id i, op a name in KERNELS: (((id, int), ...), den)."""
         col = self._columns.get((op, m, i))
         if col is None:
-            key = self.keys[i]
-            if op == "H":
-                terms, den = _h_terms(m, *key), 1
-            else:
-                terms, den = _field_basis(1 if op == "X" else -1, m, *key)
+            terms, den = KERNELS[op](m, self.keys[i])
             col = self._columns[op, m, i] = (
                 tuple((self.intern(k), c) for k, c in terms), den)
         return col
@@ -223,31 +247,17 @@ def c_act(s):
     return s.scale(-2)
 
 
-def term_d_eig(fockmono, w, p):
-    """d-eigenvalue of a basis triple: -(Fock degree) - (wedge degree)
-    - p^2/2."""
-    return Fraction(-sum(fockmono)) - w.degree() + lattice_d_eig(p)
-
-
-def d_act(s):
-    def on_basis(key):
-        eig = term_d_eig(*key)
-        return ((key, eig.numerator),), eig.denominator
-    return s.map_basis(on_basis)
+# Chevalley generator -> the (op, m) that it is; h0 = c - h1.
+CHEVALLEY = {"e0": ("Y", 1), "e1": ("X", 0), "f0": ("X", -1),
+             "f1": ("Y", 0), "h1": ("H", 0)}
 
 
 def chevalley_act(g, s):
-    table = {
-        "e0": lambda t: y_act(1, t),
-        "e1": lambda t: x_act(0, t),
-        "f0": lambda t: x_act(-1, t),
-        "f1": lambda t: y_act(0, t),
-        "h0": lambda t: c_act(t) - h_act_full(0, t),
-        "h1": lambda t: h_act_full(0, t),
-    }
-    if g not in table:
+    if g == "h0":
+        return c_act(s) - chevalley_act("h1", s)
+    if g not in CHEVALLEY:
         raise ValueError(f"unknown generator {g!r}")
-    return table[g](s)
+    return act(*CHEVALLEY[g], s)
 
 
 def _eigenvalue(op, s):
@@ -263,11 +273,9 @@ def weight_of(s):
     """Eigenvalue triple (h0, h1, d) of a simultaneous eigenvector."""
     if not s:
         raise NotAWeightVector("zero state has no weight")
-    return WeightTriple(
-        h0=_eigenvalue(lambda t: chevalley_act("h0", t), s),
-        h1=_eigenvalue(lambda t: chevalley_act("h1", t), s),
-        d=_eigenvalue(d_act, s),
-    )
+    return WeightTriple(_eigenvalue(partial(chevalley_act, "h0"), s),
+                        _eigenvalue(partial(chevalley_act, "h1"), s),
+                        _eigenvalue(d_act, s))
 
 
 def key_to_json(key):

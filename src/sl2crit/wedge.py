@@ -138,10 +138,6 @@ def astar_act(t, w):
     return WedgeElement(dict(_mode_terms("A*", t, w)))
 
 
-# Kind -> basis action, looked up when called.
-_ACTIONS = {"A": lambda t, w: a_act(t, w), "A*": lambda t, w: astar_act(t, w)}
-
-
 def apply_mode(kind, t, elem):
     """Linear extension of _mode_terms to a WedgeElement."""
     return elem.map_basis(lambda w: (_mode_terms(kind, t, w), 1))

@@ -3,20 +3,20 @@
 On the vacuum space (trivial Fock factor) each moded Z-operator reduces to
 a single oscillator mode per charge sector, because the lattice z-power
 contributes a pure monomial.  On the full module a Z-operator acts on the
-vacuum-space factor alone (z_act_full).  The basis-level mode _z_basis and
-its bound _reach live in rep, whose X and Y are the same modes dressed by
-the Heisenberg exponentials, so one cache serves X, Y and Z±.  The series
-definition on the full module (X or Y dressed by the inverse exponentials,
-zop_via_definition) is kept as a check that those exponentials cancel the
-Heisenberg part of the field; the independent evidence for X and Y is the
-direct oscillator sum in the tests.
+vacuum-space factor alone (z_act_full).  The basis-level mode _z_basis,
+its bound _reach and the Z kernel live in rep, whose X and Y are the same
+modes dressed by the Heisenberg exponentials, so one cache serves X, Y
+and Z±.  The series definition on the full module (X or Y dressed by the
+inverse exponentials, zop_via_definition) is kept as a check that those
+exponentials cancel the Heisenberg part of the field; the independent
+evidence for X and Y is the direct oscillator sum in the tests.
 """
 
 from __future__ import annotations
 
 from . import fock, rep, wedge
 from .linear import LinearCombination, combine
-from .rep import _reach, _z_basis
+from .rep import _reach
 
 
 class OmegaState(LinearCombination):
@@ -49,7 +49,8 @@ def omega_project(s):
 
 def z_act_full(sign, m, s):
     """Component m of Z^sign on a State or an OmegaState: the linear
-    extension of _z_basis to keys that end in (w, p).
+    extension of its kernel rep.KERNELS["Z" + sign], which reads the
+    basis-level mode rep._z_basis on the (w, p) end of a key.
 
     On the vacuum space this is the closed form.  On the full module it is
     the Heisenberg factorization: Z^sign(m) commutes with every H(n),
@@ -63,19 +64,15 @@ def z_act_full(sign, m, s):
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-
-    def on_basis(key):
-        term = _z_basis(sign, m, key[-2:])
-        return ((key[:-2] + term[0], term[1]),) if term else (), 1
-    return s.map_basis(on_basis)
+    return rep.act("Z" + sign, m, s)
 
 
 def _pair_term(s1, s2, j1, j2, key):
     """Z^{s1}(j1) Z^{s2}(j2) on a basis key (w, p): (key, int) or None."""
-    inner = _z_basis(s2, j2, key)
+    inner = rep._z_basis(s2, j2, key)
     if not inner:
         return None
-    outer = _z_basis(s1, j1, inner[0])
+    outer = rep._z_basis(s1, j1, inner[0])
     return (outer[0], outer[1] * inner[1]) if outer else None
 
 

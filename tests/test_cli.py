@@ -1,3 +1,4 @@
+import argparse
 import ast
 import inspect
 import json
@@ -13,7 +14,8 @@ import pytest
 
 from sl2crit import cli, harness, rep, wedge, zalg
 from sl2crit.cli import (ACT_SIZE_LIMIT, INPUT_SIZE_LIMIT, SUITE_DEFAULTS,
-                         build_spec, main, read_config, read_input)
+                         WINDOW_LIMITS, build_spec, main, read_config,
+                         read_input)
 
 
 def run(capsys, *argv):
@@ -559,3 +561,57 @@ def test_defaults_set_exactly_the_fields_a_suite_reads(name):
              if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == "spec"}
     assert reads == set(SUITE_DEFAULTS[name])
+
+
+# The acceptance windows of tests/test_acceptance.py and the documented
+# `verify zalg --mode-bound 4`.
+DOCUMENTED_WINDOWS = [
+    {"mode_bound": 5, "wedge_deg_cap": 8},
+    {"mode_bound": 4, "max_twice_deg": 10, "charge_bound": 2},
+    {"mode_bound": 6, "max_twice_deg": 12},
+    {"max_twice_deg": 12},
+    {"mode_bound": 3, "wedge_deg_cap": 5, "charge_bound": 2},
+    {"mode_bound": 2, "max_twice_deg": 6, "charge_bound": 2},
+    {"mode_bound": 4},
+]
+
+
+def test_window_limits_cover_every_documented_window():
+    assert set(WINDOW_LIMITS) == set(cli.SPEC_KEYS)
+    for window in DOCUMENTED_WINDOWS + list(SUITE_DEFAULTS.values()):
+        assert all(v <= WINDOW_LIMITS[k] for k, v in window.items()), window
+
+
+@pytest.mark.parametrize("key", sorted(WINDOW_LIMITS))
+def test_window_limit_is_inclusive(tmp_path, key):
+    suite = next(s for s, reads in sorted(SUITE_DEFAULTS.items())
+                 if key in reads)
+    cfg = tmp_path / "cfg"
+    for value in WINDOW_LIMITS[key], WINDOW_LIMITS[key] + 1:
+        cfg.write_text(f"{key} = {value}\n")
+        args = argparse.Namespace()
+        if value == WINDOW_LIMITS[key]:
+            assert getattr(build_spec(suite, args, read_config(cfg)),
+                           key) == value
+        else:
+            with pytest.raises(ValueError, match=f"{key} = {value} is above"):
+                build_spec(suite, args, read_config(cfg))
+
+
+def _refuse(*args):
+    raise AssertionError("enumerated a window above its limit")
+
+
+@pytest.mark.parametrize("argv", [
+    ["character", "--max-twice-deg", "50"],
+    ["verify", "all", "--max-twice-deg", "50"],
+    ["probe-d", "--charge-bound", "3"],
+])
+def test_window_above_its_limit_exits_before_enumerating(capsys, monkeypatch,
+                                                         argv):
+    monkeypatch.setattr(harness, "state_basis", _refuse)
+    monkeypatch.setattr(harness, "wedge_bases_up_to", _refuse)
+    monkeypatch.setattr(harness, "character", _refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert f"= {argv[-1]} is above its limit" in err

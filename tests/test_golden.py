@@ -54,6 +54,16 @@ def test_suite_report_bytes(name, spec, checks, sha):
     assert digest(report.to_json()) == sha
 
 
+def test_probe_d_report_bytes_at_criterion_7_window():
+    report = harness.d_homogeneity_probe(
+        CheckSpec(mode_bound=2, max_twice_deg=6, charge_bound=2))
+    stats = report.extra["residual_stats"].values()
+    assert report.checks_run == sum(v["checks"] for v in stats) == 855
+    assert sum(v["nonzero_residuals"] for v in stats) == 398
+    assert digest(report.to_json()) == (
+        "c4b9c7f279065b08a59723cd30fd0b93e5298898d83c3ce1cd2bcc7e2907758d")
+
+
 def test_state_codec_bytes():
     s = rep.basis_state((2, 1), wedge.WedgeBasis((-3,), (5,)), 1)
     data = rep.state_to_json(rep.x_act(-2, s))

@@ -247,23 +247,31 @@ class TestStructuralInvariants:
 
 
 class TestCompiledWindow:
-    ACT = {"X": x_act, "Y": y_act, "H": h_act_full}
+    ACT = {"X": x_act, "Y": y_act, "H": h_act_full,
+           "Z+": lambda m, s: zalg.z_act_full("+", m, s),
+           "Z-": lambda m, s: zalg.z_act_full("-", m, s),
+           "d": lambda m, s: d_act(s)}
 
     def test_columns_match_fraction_fields(self):
-        # Every column built for window (4, 1) with modes -2..2, on the
-        # basis and on the images under one more operator, equals the
-        # State action on its key; two-op words equal the State path.
+        # Every column built for window (4, 1) with modes -2..2, for every
+        # operator of rep.KERNELS, on the basis and on the images under one
+        # more operator, equals the State action on its key; one- and
+        # two-op words equal the State path.
+        assert set(self.ACT) == set(rep.KERNELS)
         win = rep.Window()
+        words = 0
         for key in state_basis(4, 1):
             i = win.intern(key)
             assert win.residual(i, (1, ())) == State.basis(key)
-            for a in "XYH":
+            for a in rep.KERNELS:
                 for m in range(-2, 3):
-                    for b in "XYH":
+                    image = self.ACT[a](m, State.basis(key))
+                    assert win.residual(i, (1, ((a, m),))) == image
+                    for b in rep.KERNELS:
                         got = win.residual(i, (1, ((b, -m), (a, m))))
-                        want = self.ACT[b](-m,
-                                           self.ACT[a](m, State.basis(key)))
-                        assert got == want, (key, a, m, b)
+                        assert got == self.ACT[b](-m, image), (key, a, m, b)
+                    words += 1 + len(rep.KERNELS)
+        assert words == 3990
         assert len(win._columns) > 1000
         for (op, m, i), (col, den) in win._columns.items():
             assert type(den) is int and all(type(c) is int for _, c in col)
@@ -360,6 +368,20 @@ def test_cached_functions_are_the_exponential_tables_and_z_basis():
     assert set(_cached_functions()) == {
         "fock._partitions", "fock._e_coeff_monomial",
         "fock._vertex_monomial", "rep._z_basis"}
+
+
+def test_every_cache_is_bound_in_one_module():
+    # An imported alias of a cache (`from .rep import _z_basis`) is a second
+    # module attribute for the same cache, and bench/worker.py, which reads
+    # cache_info() of every module attribute, would count it twice.
+    homes = {}
+    for info in pkgutil.iter_modules(sl2crit.__path__):
+        mod = importlib.import_module(f"sl2crit.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info"):
+                homes.setdefault(id(obj), []).append(f"{info.name}.{name}")
+    assert sorted(homes.values()) == [[name]
+                                      for name in sorted(_cached_functions())]
 
 
 def test_every_cache_is_bounded():

@@ -279,7 +279,7 @@ def test_sign_outside_plus_minus_rejected(call, bad):
 
 
 def test_z_basis_cache_is_bounded():
-    assert zalg._z_basis.cache_info().maxsize is not None
+    assert rep._z_basis.cache_info().maxsize is not None
 
 
 def test_vertex_cache_is_bounded():
