@@ -8,16 +8,15 @@ rationals on finite perturbation encodings, so every stated operator
 identity can be verified with zero tolerance on explicit bases.
 """
 
-from .scalars import binom_series_coeff, contraction_coeff
 from .fock import FockElement, ONE, e_coeff, h_act, monomial
 from .wedge import VACUUM, WedgeBasis, WedgeElement, a_act, astar_act
 from .rep import (NotAWeightVector, State, WeightTriple, alpha0_eig,
                   basis_state, c_act, chevalley_act, d_act, h_act_full,
                   lattice_d_eig, v0, v1, weight_of, x_act, y_act)
-from .zalg import (NotInVacuumSpace, OmegaState, gen_commutator,
-                   omega_basis, omega_embed, omega_project, z_act_full,
-                   zop_via_definition)
-from .harness import CheckSpec, Report, character, d_homogeneity_probe
+from .zalg import (OmegaState, gen_commutator, omega_basis, omega_embed,
+                   z_act_full, zop_via_definition)
+from .harness import (CheckSpec, Report, binom_series_coeff, character,
+                      contraction_coeff, d_homogeneity_probe)
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,7 @@ __all__ = [
     "State", "WeightTriple", "NotAWeightVector", "basis_state", "v0", "v1",
     "x_act", "y_act", "h_act_full", "c_act", "d_act", "chevalley_act",
     "weight_of",
-    "OmegaState", "NotInVacuumSpace", "omega_basis", "omega_embed",
-    "omega_project", "gen_commutator", "zop_via_definition", "z_act_full",
+    "OmegaState", "omega_basis", "omega_embed", "gen_commutator",
+    "zop_via_definition", "z_act_full",
     "CheckSpec", "Report", "character", "d_homogeneity_probe",
 ]

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import groupby
-from math import isqrt
+from math import factorial, isqrt
 
 from . import fock, rep, wedge, zalg
 from .fock import e_coeff
-from .scalars import binom_series_coeff, contraction_coeff
+from .linear import combine
 
 CONVENTION_NOTES = [
     "vacuum-space wedge labels: the construction uses the space whose "
@@ -152,6 +153,20 @@ def _sector_windows(spec):
 # ---------------------------------------------------------------------------
 # suites
 
+def contraction_coeff(t, u):
+    """Pairing scalar of the oscillator pair at doubled modes (t, u), in the
+    |z|>|w| region.
+
+    Nonzero only when t + u = 0 with t > 0, where it equals -(m^2 - 1/4)
+    for m = t/2, that is (1 - t^2)/4.
+    """
+    if t % 2 == 0 or u % 2 == 0:
+        raise ValueError("modes must lie in Z+1/2")
+    if t + u == 0 and t > 0:
+        return Fraction(1 - t * t, 4)
+    return Fraction(0)
+
+
 def verify_clifford(spec):
     """Anticommutators of the wedge oscillators on an exhaustive window."""
     report = Report("clifford", {"wedge_deg_cap": spec.wedge_deg_cap,
@@ -219,6 +234,21 @@ def verify_current_relations(spec):
                     report.check("bracket_H_H", [m, n], label,
                                  win.residual(i, *hh))
     return report.finalize()
+
+
+def binom_series_coeff(e, k):
+    """Coefficient of x^k in the expansion of (1-x)^e about x = 0.
+
+    `e` may be any integer; for e < 0 the series is infinite and this
+    returns its k-th coefficient.  The result is (-1)^k C(e, k) with the
+    generalized binomial coefficient.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    num = 1
+    for i in range(k):
+        num *= e - i
+    return Fraction((-1) ** k * num, factorial(k))
 
 
 def verify_e_identities(spec):
@@ -329,12 +359,35 @@ def verify_hwv():
     return report.finalize()
 
 
+def _residual(cls, parts):
+    """The sum of (scalar, (pairs, den)) parts, by one linear.combine, as a
+    cls state; None when that integer vector is zero."""
+    sums, lift = combine(parts)
+    return cls({k: Fraction(c, lift) for k, c in sums.items()}) \
+        if sums else None
+
+
+def _after(kernel, image, scalar=1):
+    """scalar times kernel applied to an integer image (pairs, den): one
+    part per key of the image, for _residual."""
+    pairs, den = image
+    return [(scalar * c, (out, d * den))
+            for key, c in pairs for out, d in [kernel(key)]]
+
+
 def verify_z_suite(spec):
     """Generalized-commutator relations, definition/closed-form agreement,
     and the Heisenberg centralizer property.
 
+    Each check is one integer sum on its basis key of the kernels
+    zalg._gencom_basis, zalg._zop_basis and rep.KERNELS, looked up when
+    called, and passes when that sum is zero.  gen_commutator,
+    zop_via_definition and z_act_full are the linear extensions of the
+    same kernels, so a nonzero sum is recorded as the residual that they
+    give, an OmegaState or a State.
+
     The H_commutes_with_Z family is vacuous on this window: it runs on
-    vacuum-space states, which H(n), n = 1..3, sends to zero, so both
+    vacuum-space keys, which H(n), n = 1..3, sends to zero, so both
     sides of every check are zero.  tests/test_zalg.py checks
     [H(n), Z(m)] = 0 on states with a Fock factor.
     """
@@ -342,38 +395,41 @@ def verify_z_suite(spec):
                              "wedge_deg_cap": spec.wedge_deg_cap,
                              "charge_bound": spec.charge_bound})
     M, cap, P = spec.mode_bound, spec.wedge_deg_cap, spec.charge_bound
-    bases = wedge_bases_up_to(cap)
-    for w in bases:
+    omega = zalg.OmegaState
+    for w in wedge_bases_up_to(cap):
         for p in range(-P, P + 1):
-            s = zalg.omega_basis(w, p)
-            label = _basis_label((w, p))
+            key = (w, p)
+            label = _basis_label(key)
             for m in range(-M, M + 1):
                 for n in range(-M, M + 1):
-                    got = zalg.gen_commutator("+", "-", m, n, s)
-                    want = s.scale(2 * p - 2 * m) if m + n == 0 \
-                        else zalg.OmegaState.zero()
+                    # [Z+(m), Z-(n)] = (2p - 2m) delta_{m+n,0} on (w, p).
+                    parts = [(1, zalg._gencom_basis("+", "-", m, n, key))]
+                    if m + n == 0:
+                        parts.append((2 * m - 2 * p, (((key, 1),), 1)))
                     report.check("gencom_plus_minus", [m, n], label,
-                                 got - want)
+                                 _residual(omega, parts))
                     for sg in "+-":
                         report.check(f"gencom_{sg}{sg}", [m, n], label,
-                                     zalg.gen_commutator(sg, sg, m, n, s))
+                                     _residual(omega, [(1, zalg._gencom_basis(
+                                         sg, sg, m, n, key))]))
     # The series definition is the costly side: its checks stop at wedge
     # degree 4 whatever the window.
-    eq_cap = min(cap, 4)
-    for w in wedge_bases_up_to(eq_cap):
+    for w in wedge_bases_up_to(min(cap, 4)):
         for p in range(-P, P + 1):
-            emb = zalg.omega_embed(zalg.omega_basis(w, p))
+            key = ((), w, p)
             label = _basis_label((w, p))
             for m in range(-M, M + 1):
                 for sg in "+-":
-                    z = zalg.zop_via_definition(sg, m, emb)
+                    z = zalg._zop_basis(sg, m, key)
+                    closed = rep.KERNELS["Z" + sg](m, key)
                     report.check("definition_vs_closed_form", [sg, m], label,
-                                 z - zalg.z_act_full(sg, m, emb))
+                                 _residual(rep.State, [(1, z), (-1, closed)]))
+                    zop = partial(zalg._zop_basis, sg, m)
                     for n in range(1, 4):
+                        h = partial(rep.KERNELS["H"], n)
                         report.check("H_commutes_with_Z", [sg, m, n], label,
-                                     rep.h_act_full(n, z)
-                                     - zalg.zop_via_definition(
-                                         sg, m, rep.h_act_full(n, emb)))
+                                     _residual(rep.State, _after(h, z)
+                                               + _after(zop, h(key), -1)))
     return report.finalize()
 
 

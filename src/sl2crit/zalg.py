@@ -14,6 +14,8 @@ evidence for X and Y is the direct oscillator sum in the tests.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import fock, rep, wedge
 from .linear import LinearCombination, combine
 from .rep import _reach
@@ -23,10 +25,6 @@ class OmegaState(LinearCombination):
     """Finite rational combination of (wedge, charge) pairs."""
 
 
-class NotInVacuumSpace(ValueError):
-    """Raised when projecting a state with a nontrivial Fock factor."""
-
-
 def omega_basis(wedgebasis=wedge.VACUUM, charge=0, coeff=1):
     return OmegaState.basis((wedgebasis, charge), coeff)
 
@@ -34,17 +32,6 @@ def omega_basis(wedgebasis=wedge.VACUUM, charge=0, coeff=1):
 def omega_embed(s):
     """Include the vacuum space into the full module (Fock factor 1)."""
     return rep.State({((), w, p): c for (w, p), c in s.terms.items()})
-
-
-def omega_project(s):
-    """Strip the trivial Fock factor; reject states outside the vacuum
-    space."""
-    out = {}
-    for (mono, w, p), c in s.terms.items():
-        if mono:
-            raise NotInVacuumSpace(f"nontrivial Fock factor {mono}")
-        out[(w, p)] = c
-    return OmegaState(out)
 
 
 def z_act_full(sign, m, s):
@@ -76,83 +63,83 @@ def _pair_term(s1, s2, j1, j2, key):
     return (outer[0], outer[1] * inner[1]) if outer else None
 
 
-def gen_commutator(s1, s2, m, n, s):
-    """Coefficient of z^{-m} w^{-n} of the generalized commutator of
-    Z^{s1}(z) and Z^{s2}(w), applied to a vacuum-space state.
-
-    The binomial weights come from the expansion exponent
-    (phi1, phi2)/(-2), which is +1 for opposite signs (a finite sum over
-    k = 0, 1) and -1 for equal signs (an infinite series over k >= 0).
-    The series ends at an exact bound: term k applies Z^{s1}(n + k) or
-    Z^{s1}(m + k) to s first, and both vanish on every term (w, p) of s
-    once n + k and m + k exceed _reach(s1, w, p), that is for
-    k > max over the terms of _reach(s1, w, p) - min(m, n).
-
-    Each term on a basis key is one key times an int (_pair_term), so the
-    kernel on a basis key is the series summed in ints, and the result is
-    its linear extension.
-    """
-    if s1 not in ("+", "-") or s2 not in ("+", "-"):
-        raise ValueError("signs must be '+' or '-'")
+def _gencom_basis(s1, s2, m, n, key):
+    """The kernel of gen_commutator on a basis key (w, p), over den 1."""
     # (1 - w/z)^e contributes (w/z)^k with weight binom_series_coeff(e, k),
     # shifting the z-component down and the w-component up by k; the
     # swapped product expands in z/w and shifts the other way.  That weight
     # is 1, -1 for e = +1 (opposite signs) and 1 for every k when e = -1.
     if s1 != s2:
-        weights = [1, -1]
+        weights = (1, -1)
     else:
-        kmax = max((_reach(s1, w, p) for (w, p), _ in s),
-                   default=-1) - min(m, n)
-        weights = [1] * (kmax + 1)
+        weights = (1,) * (_reach(s1, *key) - min(m, n) + 1)
+    sums = {}
+    for k, wt in enumerate(weights):
+        for term, sg in ((_pair_term(s1, s2, m - k, n + k, key), wt),
+                         (_pair_term(s2, s1, n - k, m + k, key), -wt)):
+            if term:
+                sums[term[0]] = sums.get(term[0], 0) + sg * term[1]
+    return sums.items(), 1
 
-    def on_basis(key):
-        sums = {}
-        for k, wt in enumerate(weights):
-            for term, sg in ((_pair_term(s1, s2, m - k, n + k, key), wt),
-                             (_pair_term(s2, s1, n - k, m + k, key), -wt)):
-                if term:
-                    sums[term[0]] = sums.get(term[0], 0) + sg * term[1]
-        return sums.items(), 1
-    return s.map_basis(on_basis)
+
+def gen_commutator(s1, s2, m, n, s):
+    """Coefficient of z^{-m} w^{-n} of the generalized commutator of
+    Z^{s1}(z) and Z^{s2}(w), applied to a vacuum-space state: the linear
+    extension of the kernel _gencom_basis.
+
+    The binomial weights come from the expansion exponent
+    (phi1, phi2)/(-2), which is +1 for opposite signs (a finite sum over
+    k = 0, 1) and -1 for equal signs (an infinite series over k >= 0).
+    On each basis key (w, p) the series ends at an exact bound of its
+    own: term k applies Z^{s1}(n + k) or Z^{s1}(m + k) to (w, p) first,
+    and both vanish once n + k and m + k exceed _reach(s1, w, p), that is
+    for k > _reach(s1, w, p) - min(m, n).  Each term on a basis key is one
+    key times an int (_pair_term), so the kernel is a sum of ints.
+    """
+    if s1 not in ("+", "-") or s2 not in ("+", "-"):
+        raise ValueError("signs must be '+' or '-'")
+    return s.map_basis(partial(_gencom_basis, s1, s2, m, n))
+
+
+def _zop_basis(sgn, m, key):
+    """The kernel of zop_via_definition on a basis triple (mono, w, p).
+
+    The annihilation coefficient at depth b gives Fock monomials mono1
+    with int coefficients; the field component j = m + a - b (z-balance
+    a - b - j = -m) on (mono1, w, p) gives ints over its own denominator;
+    and the creation coefficient at z^a gives ints over fock._e_den(a).
+    Field components above sum(mono1) + _reach(sgn, w, p) vanish on
+    (mono1, w, p): every oscillator mode that acts there would need a
+    negative creation power in the z-balance of rep._field_basis, as
+    Z^sgn does above _reach.  The sum over (b, mono1, a) is taken in ints
+    over the lcm of the denominators (linear.combine).
+    """
+    sup = "-" if sgn == "+" else "+"
+    sign = 1 if sgn == "+" else -1
+    mono, w, p = key
+    parts = []
+    for b in range(sum(mono) + 1):
+        for mono1, c1 in fock._e_coeff_monomial(sup, "-", -b, mono):
+            cap = sum(mono1) + _reach(sgn, w, p)
+            for a in range(cap - m + b + 1):
+                terms, den = rep._field_basis(sign, m + a - b, mono1, w, p)
+                if not terms:
+                    continue
+                image = [((mono3, w2, p2), c2 * c3)
+                         for (mono2, w2, p2), c2 in terms
+                         for mono3, c3 in fock._e_coeff_monomial(
+                             sup, "+", a, mono2)]
+                parts.append((c1, (image, den * fock._e_den(a))))
+    sums, lift = combine(parts)
+    return sums.items(), lift
 
 
 def zop_via_definition(sgn, m, s):
     """Coefficient of z^{-m} of the dressed field defining the Z-operator
     on the full module: annihilation-side exponentials around X (for '+')
-    or Y (for '-'), evaluated as an exact triple convolution.
-
-    On a key (mono, w, p) the annihilation coefficient at depth b gives
-    Fock monomials mono1 with int coefficients; the field component
-    j = m + a - b (z-balance a - b - j = -m) on (mono1, w, p) gives ints
-    over its own denominator; and the creation coefficient at z^a gives
-    ints over fock._e_den(a).  Field components above
-    sum(mono1) + _reach(sgn, w, p) vanish on (mono1, w, p): every
-    oscillator mode that acts there would need a negative creation power
-    in the z-balance of rep._field_basis, as Z^sgn does above _reach.
-    The kernel on a key is the sum over (b, mono1, a), taken in ints over
-    the lcm of the denominators (linear.combine), and the result is its
-    linear extension.
+    or Y (for '-'), evaluated as an exact triple convolution.  It is the
+    linear extension of the kernel _zop_basis.
     """
     if sgn not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    sup = "-" if sgn == "+" else "+"
-    sign = 1 if sgn == "+" else -1
-
-    def on_basis(key):
-        mono, w, p = key
-        parts = []
-        for b in range(sum(mono) + 1):
-            for mono1, c1 in fock._e_coeff_monomial(sup, "-", -b, mono):
-                cap = sum(mono1) + _reach(sgn, w, p)
-                for a in range(cap - m + b + 1):
-                    terms, den = rep._field_basis(sign, m + a - b, mono1, w, p)
-                    if not terms:
-                        continue
-                    image = [((mono3, w2, p2), c2 * c3)
-                             for (mono2, w2, p2), c2 in terms
-                             for mono3, c3 in fock._e_coeff_monomial(
-                                 sup, "+", a, mono2)]
-                    parts.append((c1, (image, den * fock._e_den(a))))
-        sums, lift = combine(parts)
-        return sums.items(), lift
-    return s.map_basis(on_basis)
+    return s.map_basis(partial(_zop_basis, sgn, m))

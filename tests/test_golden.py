@@ -54,6 +54,19 @@ def test_suite_report_bytes(name, spec, checks, sha):
     assert digest(report.to_json()) == sha
 
 
+@pytest.mark.parametrize("spec,checks,sha", [
+    (CheckSpec(mode_bound=3, wedge_deg_cap=5, charge_bound=2), 31605,
+     "48133cdb1c080227382457474b91fdfe566af13e44d28666ee37777b0e578bfa"),
+    (CheckSpec(mode_bound=3, wedge_deg_cap=3, charge_bound=2), 12180,
+     "1d7b5553b88fe661f6749de4e25057d0e1edfba796c63a056116b1b4f58da319"),
+], ids=["criterion-6", "zalg-window"])
+def test_zalg_report_bytes_at_large_windows(spec, checks, sha):
+    # Criterion 6's window and the benchmark's zalg-window.
+    report = harness.verify_z_suite(spec)
+    assert report.checks_run == checks
+    assert digest(report.to_json()) == sha
+
+
 def test_probe_d_report_bytes_at_criterion_7_window():
     report = harness.d_homogeneity_probe(
         CheckSpec(mode_bound=2, max_twice_deg=6, charge_bound=2))
@@ -121,10 +134,12 @@ def _inject_state_and_weight(mp):
 
 
 def _inject_omega(mp):
-    residual = (zalg.omega_basis(wedge.WedgeBasis((), (3,)), -1, 5)
-                + zalg.omega_basis(wedge.VACUUM, 1, Fraction(-7, 2))
-                + zalg.omega_basis(wedge.WedgeBasis((-5,), ()), 0, 1))
-    mp.setattr(zalg, "gen_commutator", lambda *args: residual)
+    # The residual 5 ({holes 3}, -1) - 7/2 (vacuum, 1) + ({neg -5}, 0) on
+    # every key, as ints over 2.
+    residual = (((wedge.WedgeBasis((), (3,)), -1), 10),
+                ((wedge.VACUUM, 1), -7),
+                ((wedge.WedgeBasis((-5,), ()), 0), 2)), 2
+    mp.setattr(zalg, "_gencom_basis", lambda *args: residual)
     return harness.verify_z_suite(CheckSpec(mode_bound=0, wedge_deg_cap=0,
                                             charge_bound=0))
 

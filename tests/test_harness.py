@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2crit import cli, fock, harness, rep
+from sl2crit import cli, fock, harness, linear, rep, wedge, zalg
 from sl2crit.harness import (CheckSpec, character,
                              character_csv, character_matches,
                              d_homogeneity_probe, state_basis,
@@ -91,6 +91,92 @@ class TestSuitesSmall:
         a = json.dumps(verify_clifford(spec).to_json(), sort_keys=True)
         b = json.dumps(verify_clifford(spec).to_json(), sort_keys=True)
         assert a == b
+
+
+def z_suite_by_public_functions(spec):
+    """verify_z_suite written with the public linear maps on one-key
+    states: gen_commutator, zop_via_definition, z_act_full, h_act_full."""
+    report = harness.Report("zalg", {"mode_bound": spec.mode_bound,
+                                     "wedge_deg_cap": spec.wedge_deg_cap,
+                                     "charge_bound": spec.charge_bound})
+    M, P = spec.mode_bound, spec.charge_bound
+    modes = range(-M, M + 1)
+    for w in harness.wedge_bases_up_to(spec.wedge_deg_cap):
+        for p in range(-P, P + 1):
+            s = zalg.omega_basis(w, p)
+            label = harness._basis_label((w, p))
+            for m in modes:
+                for n in modes:
+                    want = s.scale(2 * p - 2 * m) if m + n == 0 \
+                        else zalg.OmegaState.zero()
+                    report.check("gencom_plus_minus", [m, n], label,
+                                 zalg.gen_commutator("+", "-", m, n, s)
+                                 - want)
+                    for sg in "+-":
+                        report.check(f"gencom_{sg}{sg}", [m, n], label,
+                                     zalg.gen_commutator(sg, sg, m, n, s))
+    for w in harness.wedge_bases_up_to(min(spec.wedge_deg_cap, 4)):
+        for p in range(-P, P + 1):
+            emb = zalg.omega_embed(zalg.omega_basis(w, p))
+            label = harness._basis_label((w, p))
+            for m in modes:
+                for sg in "+-":
+                    z = zalg.zop_via_definition(sg, m, emb)
+                    report.check("definition_vs_closed_form", [sg, m], label,
+                                 z - zalg.z_act_full(sg, m, emb))
+                    for n in range(1, 4):
+                        report.check("H_commutes_with_Z", [sg, m, n], label,
+                                     rep.h_act_full(n, z)
+                                     - zalg.zop_via_definition(
+                                         sg, m, rep.h_act_full(n, emb)))
+    return report.finalize()
+
+
+class TestZSuiteOnKernels:
+    SPEC = CheckSpec(mode_bound=1, wedge_deg_cap=2, charge_bound=1)
+
+    def test_no_linear_extension_per_check(self, monkeypatch):
+        calls = []
+        orig = linear.LinearCombination.map_basis
+
+        def map_basis(self, fn):
+            calls.append(fn)
+            return orig(self, fn)
+
+        monkeypatch.setattr(linear.LinearCombination, "map_basis", map_basis)
+        assert verify_z_suite(self.SPEC).checks_run == 918
+        assert calls == []
+
+    @staticmethod
+    def doubling(module, name, args):
+        """module.name with the coefficients of its value at args
+        doubled."""
+        orig = getattr(module, name)
+
+        def fn(*call):
+            out = orig(*call)
+            if call != args:
+                return out
+            if name == "_z_basis":
+                return out[0], 2 * out[1]
+            return tuple((k, 2 * c) for k, c in out)
+        return fn
+
+    @pytest.mark.parametrize("module,name,args,families", [
+        # Z+(-1) on the vacuum breaks the commutator of Z+ with Z-.
+        (rep, "_z_basis", ("+", -1, (wedge.VACUUM, 0)),
+         {"gencom_plus_minus"}),
+        # The z^1 vertex row of X on the Fock vacuum breaks the dressing:
+        # the definition leaves a Fock factor, which H(1) sees.
+        (fock, "_vertex_monomial", ("+", 1, ()),
+         {"definition_vs_closed_form", "H_commutes_with_Z"}),
+    ], ids=["z_basis", "vertex_monomial"])
+    def test_failures_match_the_public_functions(self, monkeypatch, module,
+                                                 name, args, families):
+        monkeypatch.setattr(module, name, self.doubling(module, name, args))
+        report = verify_z_suite(self.SPEC).to_json()
+        assert {f["identity"] for f in report["failures"]} == families
+        assert report == z_suite_by_public_functions(self.SPEC).to_json()
 
 
 class TestCharacter:

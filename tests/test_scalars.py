@@ -1,8 +1,11 @@
+"""The series coefficient and the oscillator pairing scalar of
+sl2crit.harness, against series oracles."""
+
 from fractions import Fraction
 
 import pytest
 from sl2crit import rep
-from sl2crit.scalars import binom_series_coeff, contraction_coeff
+from sl2crit.harness import binom_series_coeff, contraction_coeff
 
 
 def mul_series(a, b, order):
@@ -15,7 +18,7 @@ def mul_series(a, b, order):
 
 
 class TestBinomSeriesCoeff:
-    # zalg.gen_commutator uses these two series as the int weights
+    # zalg._gencom_basis uses these two series as the int weights
     # 1, -1 (opposite signs) and 1, 1, ... (equal signs).
     def test_finite_binomial(self):
         assert [binom_series_coeff(1, k) for k in range(10)] \

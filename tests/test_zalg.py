@@ -6,9 +6,8 @@ import pytest
 
 from sl2crit import fock, rep, wedge, zalg
 from sl2crit.harness import state_basis, wedge_bases_up_to
-from sl2crit.zalg import (NotInVacuumSpace, OmegaState, gen_commutator,
-                          omega_basis, omega_embed, omega_project,
-                          z_act_full, zop_via_definition)
+from sl2crit.zalg import (OmegaState, gen_commutator, omega_basis,
+                          omega_embed, z_act_full, zop_via_definition)
 
 
 class TestModedOperators:
@@ -120,8 +119,10 @@ class TestPinnedOutput:
 
 
 class TestExactTermination:
-    """A same-sign series ends at k = max _reach - min(m, n): every later
-    term applies a mode above the reach first."""
+    """On a basis key (w, p) a same-sign series ends at
+    k = _reach(w, p) - min(m, n): every later term applies a mode above
+    the reach first.  On a state the largest of these bounds serves every
+    key."""
 
     @staticmethod
     def pair_on_state(sg, j1, j2, s):
@@ -287,18 +288,6 @@ def test_vertex_cache_is_bounded():
 
 
 class TestVacuumSpaceMaps:
-    def test_embed_project_round_trip(self):
-        s = (omega_basis(wedge.WedgeBasis((-3,), ()), 1, Fraction(2, 3))
-             + omega_basis())
-        assert omega_project(omega_embed(s)) == s
-
-    def test_project_v0(self):
-        assert omega_project(rep.v0()) == omega_basis()
-
-    def test_project_rejects_fock_factor(self):
-        with pytest.raises(NotInVacuumSpace):
-            omega_project(rep.basis_state((1,), wedge.VACUUM, 0))
-
     def test_embedded_states_are_heisenberg_vacua(self):
         s = omega_basis(wedge.WedgeBasis((-5, -3), (3,)), -1)
         for n in range(1, 5):
