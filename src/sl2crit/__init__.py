@@ -15,13 +15,11 @@ from .rep import (NotAWeightVector, State, WeightTriple, alpha0_eig,
                   lattice_d_eig, v0, v1, weight_of, x_act, y_act)
 from .zalg import (OmegaState, gen_commutator, omega_basis, omega_embed,
                    z_act_full, zop_via_definition)
-from .harness import (CheckSpec, Report, binom_series_coeff, character,
-                      contraction_coeff, d_homogeneity_probe)
+from .harness import CheckSpec, Report, character, d_homogeneity_probe
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "binom_series_coeff", "contraction_coeff",
     "FockElement", "ONE", "e_coeff", "h_act", "monomial",
     "WedgeBasis", "WedgeElement", "VACUUM", "a_act", "astar_act",
     "alpha0_eig", "lattice_d_eig",

@@ -80,11 +80,17 @@ def _h_act_monomial(n, mono):
     return [(tuple(reduced), -4 * n * k)]
 
 
+def _h_kernel(n, mono):
+    """The kernel of h_act on a monomial, over den 1."""
+    return _h_act_monomial(n, mono), 1
+
+
 def h_act(n, v):
-    """Action of the Heisenberg mode H(n), n != 0, on a Fock element."""
+    """Action of the Heisenberg mode H(n), n != 0, on a Fock element: the
+    linear extension of _h_kernel."""
     if n == 0:
         raise ValueError("H(0) does not act on the Fock factor")
-    return v.map_basis(lambda mono: (_h_act_monomial(n, mono), 1))
+    return v.map_basis(lambda mono: _h_kernel(n, mono))
 
 
 def _e_den(k):
@@ -163,12 +169,15 @@ def _vertex_monomial(sup, k, mono):
     return tuple((m, c) for m, c in out.items() if c)
 
 
+def _e_kernel(sup, sub, k, mono):
+    """The kernel of e_coeff: the table's ints over _e_den(k)."""
+    return _e_coeff_monomial(sup, sub, k, mono), _e_den(k)
+
+
 def e_coeff(sup, sub, k, v):
     """Coefficient of z^k of the chosen exponential operator applied to v:
-    the linear extension of the table's ints over _e_den(k)."""
-    den = _e_den(k)
-    return v.map_basis(lambda mono: (_e_coeff_monomial(sup, sub, k, mono),
-                                     den))
+    the linear extension of _e_kernel."""
+    return v.map_basis(lambda mono: _e_kernel(sup, sub, k, mono))
 
 
 def parse_monomial(data):

@@ -13,10 +13,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import groupby
-from math import factorial, isqrt
+from math import isqrt
 
 from . import fock, rep, wedge, zalg
-from .fock import e_coeff
 from .linear import combine
 
 CONVENTION_NOTES = [
@@ -153,46 +152,61 @@ def _sector_windows(spec):
 # ---------------------------------------------------------------------------
 # suites
 
-def contraction_coeff(t, u):
-    """Pairing scalar of the oscillator pair at doubled modes (t, u), in the
-    |z|>|w| region.
+def _unit(key):
+    """The basis vector at key as an integer image (pairs, den)."""
+    return ((key, 1),), 1
 
-    Nonzero only when t + u = 0 with t > 0, where it equals -(m^2 - 1/4)
-    for m = t/2, that is (1 - t^2)/4.
-    """
-    if t % 2 == 0 or u % 2 == 0:
-        raise ValueError("modes must lie in Z+1/2")
-    if t + u == 0 and t > 0:
-        return Fraction(1 - t * t, 4)
-    return Fraction(0)
+
+def _residual(cls, parts):
+    """The sum of (scalar, (pairs, den)) parts, by one linear.combine, as a
+    cls state; None when that integer vector is zero."""
+    sums, lift = combine(parts)
+    return cls({k: Fraction(c, lift) for k, c in sums.items()}) \
+        if sums else None
+
+
+def _after(image, *kernels, scalar=1):
+    """scalar times the word of kernels, innermost last, applied to an
+    integer image (pairs, den): one part per key that the outermost kernel
+    reads, for _residual."""
+    parts = [(scalar, image)]
+    for kernel in reversed(kernels):
+        parts = [(s * c, (out, d * den)) for s, (pairs, den) in parts
+                 for key, c in pairs for out, d in [kernel(key)]]
+    return parts
 
 
 def verify_clifford(spec):
-    """Anticommutators of the wedge oscillators on an exhaustive window."""
+    """Anticommutators of the wedge oscillators on an exhaustive window.
+
+    Each check is one integer sum on its basis wedge of the oscillator
+    kernel wedge._mode_kernel, of which a_act, astar_act and apply_mode
+    are the extensions, and passes when that sum is zero.
+    """
     report = Report("clifford", {"wedge_deg_cap": spec.wedge_deg_cap,
                                  "mode_bound": spec.mode_bound})
-    bases = wedge_bases_up_to(spec.wedge_deg_cap)
     tmax = 2 * spec.mode_bound + 1
     modes = range(-tmax, tmax + 1, 2)
-    pairs = [("anticommutator_A_Astar", "A", "A*"),
-             ("anticommutator_A_A", "A", "A"),
-             ("anticommutator_Astar_Astar", "A*", "A*")]
-    for w in bases:
-        v = wedge.WedgeElement.basis(w)
+    pairs = [("anticommutator_A_Astar", 1, -1),
+             ("anticommutator_A_A", 1, 1),
+             ("anticommutator_Astar_Astar", -1, -1)]
+    for w in wedge_bases_up_to(spec.wedge_deg_cap):
         label = _basis_label(w)
-        inner = {(k, t): wedge.WedgeElement(dict(wedge._mode_terms(k, t, w)))
-                 for k in ("A", "A*") for t in modes}
+        inner = {(s, t): wedge._mode_kernel(s, t, w)
+                 for s in (1, -1) for t in modes}
         for m in modes:
             for n in modes:
                 for identity, a, b in pairs:
-                    # {a(m), b(n)} is the pairing scalar for A, A*, else 0.
-                    pairing = (contraction_coeff(m, n)
-                               + contraction_coeff(n, m)) if a != b else 0
-                    res = (wedge.apply_mode(a, m, inner[b, n])
-                           + wedge.apply_mode(b, n, inner[a, m])
-                           - v.scale(pairing))
+                    parts = (_after(inner[b, n],
+                                    partial(wedge._mode_kernel, a, m))
+                             + _after(inner[a, m],
+                                      partial(wedge._mode_kernel, b, n)))
+                    # {A(m), A*(-m)} is the pairing (1 - m^2)/4 at the
+                    # doubled mode m, an int since m is odd; else 0.
+                    if a != b and m + n == 0:
+                        parts.append(((m * m - 1) // 4, _unit(w)))
                     report.check(identity, [f"{m}/2", f"{n}/2"], label,
-                                 res)
+                                 _residual(wedge.WedgeElement, parts))
     return report.finalize()
 
 
@@ -236,31 +250,23 @@ def verify_current_relations(spec):
     return report.finalize()
 
 
-def binom_series_coeff(e, k):
-    """Coefficient of x^k in the expansion of (1-x)^e about x = 0.
-
-    `e` may be any integer; for e < 0 the series is infinite and this
-    returns its k-th coefficient.  The result is (-1)^k C(e, k) with the
-    generalized binomial coefficient.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    num = 1
-    for i in range(k):
-        num *= e - i
-    return Fraction((-1) ** k * num, factorial(k))
-
-
 def verify_e_identities(spec):
-    """Coefficientwise identities of the four exponential operators."""
+    """Coefficientwise identities of the four exponential operators.
+
+    Each check is one integer sum on its basis monomial of the kernels
+    fock._e_kernel and fock._h_kernel, of which e_coeff and h_act are the
+    extensions, and passes when that sum is zero.
+    """
     report = Report("exp", {"coeff_bound": spec.mode_bound,
                             "fock_deg_cap": spec.max_twice_deg // 2})
     K = spec.mode_bound
     D = spec.max_twice_deg // 2
-    monomials = [m for f in range(D + 1) for m in fock._partitions(f)]
-    zero = fock.FockElement.zero()
-    for mono in monomials:
-        v = fock.FockElement.basis(mono)
+
+    def e(sup, sub, k):
+        return partial(fock._e_kernel, sup, sub, k)
+
+    for mono in [m for f in range(D + 1) for m in fock._partitions(f)]:
+        v = _unit(mono)
         d = sum(mono)
         label = json.dumps(list(mono))
         # Subscript '+' has coefficients at z^k, '-' at z^-k, k >= 0.
@@ -268,59 +274,53 @@ def verify_e_identities(spec):
                               ("-", -1, "commute_sub_minus")):
             # E^+_s(z) E^-_s(z) = 1, coefficient of z^j.
             for j in range(K + 1):
-                total = sum((e_coeff("+", sub, sg * k,
-                                     e_coeff("-", sub, sg * (j - k), v))
-                             for k in range(j + 1)), zero)
+                parts = [(-1, v)] if j == 0 else []
+                for k in range(j + 1):
+                    parts += _after(v, e("+", sub, sg * k),
+                                    e("-", sub, sg * (j - k)))
                 report.check("unit_product", [sub, sg * j], label,
-                             total - (v if j == 0 else zero))
+                             _residual(fock.FockElement, parts))
             # Commuting pairs with equal subscripts.
             for s1, s2 in [("+", "+"), ("-", "+"), ("-", "-")]:
                 for a in range(K + 1):
                     for b in range(K + 1):
-                        report.check(name, [s1, s2, a, b], label,
-                                     e_coeff(s1, sub, sg * a,
-                                             e_coeff(s2, sub, sg * b, v))
-                                     - e_coeff(s2, sub, sg * b,
-                                               e_coeff(s1, sub, sg * a, v)))
+                        e1, e2 = e(s1, sub, sg * a), e(s2, sub, sg * b)
+                        report.check(name, [s1, s2, a, b], label, _residual(
+                            fock.FockElement,
+                            _after(v, e1, e2) + _after(v, e2, e1, scalar=-1)))
         # E^{s1}_-(z) E^{s2}_+(w) = E^{s2}_+(w) E^{s1}_-(z) (1 - w/z)^e, with
-        # e = -1 for equal superscripts and e = +1 (two terms) for (+, -).
-        for identity, s1, s2, e, prefix in [
-                ("swap_minus_plus_same_sup", "+", "+", -1, ["+"]),
-                ("swap_minus_plus_same_sup", "-", "-", -1, ["-"]),
-                ("swap_mixed_sup", "+", "-", 1, [])]:
+        # e = -1 for equal superscripts, weights 1, 1, ..., and e = +1 for
+        # (+, -), weights 1, -1.
+        for s1, s2 in [("+", "+"), ("-", "-"), ("+", "-")]:
+            identity, prefix, weights = (
+                ("swap_minus_plus_same_sup", [s1], (1,) * (K + 1))
+                if s1 == s2 else ("swap_mixed_sup", [], (1, -1)))
             for a in range(K + 1):
                 for b in range(K + 1):
-                    lhs = e_coeff(s1, "-", -a, e_coeff(s2, "+", b, v))
-                    kmax = min(a, b) if e < 0 else min(a, b, 1)
-                    rhs = sum((e_coeff(s2, "+", b - k,
-                                       e_coeff(s1, "-", -(a - k), v)).scale(
-                                           binom_series_coeff(e, k))
-                               for k in range(kmax + 1)), zero)
-                    report.check(identity, prefix + [a, b], label, lhs - rhs)
+                    parts = _after(v, e(s1, "-", -a), e(s2, "+", b))
+                    for k, wt in enumerate(weights[:min(a, b) + 1]):
+                        parts += _after(v, e(s2, "+", b - k),
+                                        e(s1, "-", k - a), scalar=-wt)
+                    report.check(identity, prefix + [a, b], label,
+                                 _residual(fock.FockElement, parts))
         # d/dz (E^s_+(z) E^s_-(z)), coefficient of z^j, against the
-        # middle-field form with modes H(n)/2.
+        # middle-field form with modes H(n)/2, over den 2.
+        half = (((mono, 1),), 2)
         for sup in "+-":
             sgn = -1 if sup == "+" else 1
             for j in range(-K, K + 1):
-                lhs = sum((e_coeff(sup, "+", k,
-                                   e_coeff(sup, "-", j + 1 - k, v))
-                           for k in range(max(0, j + 1), j + 1 + d + 1)),
-                          zero).scale(j + 1)
-                rhs = zero
+                parts = []
+                for k in range(max(0, j + 1), j + 1 + d + 1):
+                    parts += _after(v, e(sup, "+", k), e(sup, "-", j + 1 - k),
+                                    scalar=j + 1)
                 for b in range(0, -(d + 1), -1):
-                    inner = e_coeff(sup, "-", b, v)
-                    if not inner:
-                        continue
                     for n in range(b - j - 1, d + 1):
-                        if n == 0:
-                            continue
-                        a = j + 1 + n - b
-                        mid = fock.h_act(n, inner).scale(Fraction(sgn, 2))
-                        if not mid:
-                            continue
-                        rhs = rhs + e_coeff(sup, "+", a, mid)
+                        if n:
+                            parts += _after(half, e(sup, "+", j + 1 + n - b),
+                                            partial(fock._h_kernel, n),
+                                            e(sup, "-", b), scalar=-sgn)
                 report.check("derivative_identity", [sup, j], label,
-                             lhs - rhs)
+                             _residual(fock.FockElement, parts))
     return report.finalize()
 
 
@@ -359,22 +359,6 @@ def verify_hwv():
     return report.finalize()
 
 
-def _residual(cls, parts):
-    """The sum of (scalar, (pairs, den)) parts, by one linear.combine, as a
-    cls state; None when that integer vector is zero."""
-    sums, lift = combine(parts)
-    return cls({k: Fraction(c, lift) for k, c in sums.items()}) \
-        if sums else None
-
-
-def _after(kernel, image, scalar=1):
-    """scalar times kernel applied to an integer image (pairs, den): one
-    part per key of the image, for _residual."""
-    pairs, den = image
-    return [(scalar * c, (out, d * den))
-            for key, c in pairs for out, d in [kernel(key)]]
-
-
 def verify_z_suite(spec):
     """Generalized-commutator relations, definition/closed-form agreement,
     and the Heisenberg centralizer property.
@@ -405,7 +389,7 @@ def verify_z_suite(spec):
                     # [Z+(m), Z-(n)] = (2p - 2m) delta_{m+n,0} on (w, p).
                     parts = [(1, zalg._gencom_basis("+", "-", m, n, key))]
                     if m + n == 0:
-                        parts.append((2 * m - 2 * p, (((key, 1),), 1)))
+                        parts.append((2 * m - 2 * p, _unit(key)))
                     report.check("gencom_plus_minus", [m, n], label,
                                  _residual(omega, parts))
                     for sg in "+-":
@@ -428,8 +412,9 @@ def verify_z_suite(spec):
                     for n in range(1, 4):
                         h = partial(rep.KERNELS["H"], n)
                         report.check("H_commutes_with_Z", [sg, m, n], label,
-                                     _residual(rep.State, _after(h, z)
-                                               + _after(zop, h(key), -1)))
+                                     _residual(rep.State, _after(z, h)
+                                               + _after(h(key), zop,
+                                                        scalar=-1)))
     return report.finalize()
 
 

@@ -119,28 +119,30 @@ def flip(sign, t, w):
     return WedgeBasis(w.neg, tuple(sorted(set(w.holes) ^ {r}))), c
 
 
-def _mode_terms(kind, t, w):
-    """A(m) ("A") or A*(m) ("A*"), m = t/2, on a basis wedge: the
-    (wedge, int) pairs of flip, at most one."""
-    term = flip({"A": 1, "A*": -1}[kind], t, w)
-    return (term,) if term else ()
+def _mode_kernel(sign, t, w):
+    """A(m) (sign +1) or A*(m) (sign -1), m = t/2, on a basis wedge: the
+    (wedge, int) pair of flip, if any, over den 1."""
+    term = flip(sign, t, w)
+    return ((term,) if term else ()), 1
 
 
 def a_act(t, w):
     """Oscillator A(m), m = t/2: (m - 1/2) u_m ^ w, reordered into canonical
     form."""
-    return WedgeElement(dict(_mode_terms("A", t, w)))
+    return WedgeElement(dict(_mode_kernel(1, t, w)[0]))
 
 
 def astar_act(t, w):
     """Oscillator A*(m), m = t/2: (m - 1/2) times removal of the factor
     u_{-m}."""
-    return WedgeElement(dict(_mode_terms("A*", t, w)))
+    return WedgeElement(dict(_mode_kernel(-1, t, w)[0]))
 
 
 def apply_mode(kind, t, elem):
-    """Linear extension of _mode_terms to a WedgeElement."""
-    return elem.map_basis(lambda w: (_mode_terms(kind, t, w), 1))
+    """A(m) ("A") or A*(m) ("A*") on a WedgeElement: the linear extension
+    of _mode_kernel."""
+    sign = {"A": 1, "A*": -1}[kind]
+    return elem.map_basis(lambda w: _mode_kernel(sign, t, w))
 
 
 def serialize_basis(w):

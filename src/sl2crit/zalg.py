@@ -65,7 +65,7 @@ def _pair_term(s1, s2, j1, j2, key):
 
 def _gencom_basis(s1, s2, m, n, key):
     """The kernel of gen_commutator on a basis key (w, p), over den 1."""
-    # (1 - w/z)^e contributes (w/z)^k with weight binom_series_coeff(e, k),
+    # (1 - w/z)^e contributes (w/z)^k with weight (-1)^k C(e, k),
     # shifting the z-component down and the w-component up by k; the
     # swapped product expands in z/w and shifts the other way.  That weight
     # is 1, -1 for e = +1 (opposite signs) and 1 for every k when e = -1.

@@ -2,8 +2,8 @@
 state codec and `sl2crit act` write, so that a refactor of any of them
 shows up as a changed digest.
 
-Failure entries are produced by patching one operator so that a small
-suite records residuals through its own recording path; one injected
+Failure entries are produced by patching one kernel or operator so that
+a small suite records residuals through its own recording path; one injected
 suite per residual type (wedge, Fock, full state, vacuum-space state,
 weight triple), and one for the fraction-free current suite, whose
 residuals are integer vectors turned back into states.
@@ -108,17 +108,34 @@ def _adding(module, name, extra):
     return lambda *args: orig(*args) + extra
 
 
+def _adding_to_kernel(module, name, extra, den):
+    """The kernel `module.name` with the integer pairs `extra` over `den`
+    added to its image of every key."""
+    orig = getattr(module, name)
+
+    def kernel(*args):
+        pairs, d = orig(*args)
+        return (tuple((key, c * den) for key, c in pairs)
+                + tuple((key, c * d) for key, c in extra)), d * den
+    return kernel
+
+
 def _inject_wedge(mp):
-    extra = (wedge.WedgeElement.basis(wedge.WedgeBasis((-3,), ()), 2)
-             + wedge.WedgeElement.basis(wedge.WedgeBasis((), (5,)),
-                                        Fraction(-1, 3)))
-    mp.setattr(wedge, "apply_mode", _adding(wedge, "apply_mode", extra))
+    # 2 ({neg -3/2}) - 1/3 ({holes 5/2}) on every wedge, as ints over 3.
+    # Every oscillator at modes +-1/2 is zero on these wedges, so a word of
+    # two kernels leaves (2 - 1/3) times it, and each check 10/3 times it.
+    extra = ((wedge.WedgeBasis((-3,), ()), 6),
+             (wedge.WedgeBasis((), (5,)), -1))
+    mp.setattr(wedge, "_mode_kernel",
+               _adding_to_kernel(wedge, "_mode_kernel", extra, 3))
     return harness.verify_clifford(CheckSpec(mode_bound=0, wedge_deg_cap=0))
 
 
 def _inject_fock(mp):
-    extra = fock.FockElement({(1,): Fraction(1, 2), (2, 1): -3})
-    mp.setattr(fock, "h_act", _adding(fock, "h_act", extra))
+    # {(1,): 1/2, (2, 1): -3} on every monomial, as ints over 2.
+    extra = (((1,), 1), ((2, 1), -6))
+    mp.setattr(fock, "_h_kernel", _adding_to_kernel(fock, "_h_kernel",
+                                                     extra, 2))
     return harness.verify_e_identities(CheckSpec(mode_bound=0,
                                                  max_twice_deg=0))
 
@@ -160,7 +177,7 @@ def _inject_current(mp):
 
 INJECTED = [
     ("wedge", _inject_wedge, 12, 12,
-     "29ab4807cf030340584e6dc9ef7a77af65ca79b5b804d7dc3efe3d4ba1829839"),
+     "e7a89c86d57dfa35c3fca8009cc86f51fe4ed8ee821ccb0f56cccbd58cb0fd02"),
     ("fock", _inject_fock, 13, 2,
      "23f8206e7273bf2678c07e5d3df07d9708743bcccbbdca7aad33a11093ddb71f"),
     ("state-and-weight", _inject_state_and_weight, 13, 3,

@@ -132,35 +132,40 @@ def z_suite_by_public_functions(spec):
     return report.finalize()
 
 
+def doubling(module, name, args):
+    """module.name with the coefficients of its value at args doubled."""
+    orig = getattr(module, name)
+
+    def fn(*call):
+        out = orig(*call)
+        if call != args:
+            return out
+        if name in ("_z_basis", "flip"):
+            return out[0], 2 * out[1]
+        return tuple((k, 2 * c) for k, c in out)
+    return fn
+
+
+def counting_arithmetic(monkeypatch):
+    """Record every map_basis, +, - and scale of a LinearCombination."""
+    calls = []
+    for name in ("map_basis", "__add__", "__sub__", "scale"):
+        orig = getattr(linear.LinearCombination, name)
+
+        def wrapper(*args, name=name, orig=orig):
+            calls.append(name)
+            return orig(*args)
+        monkeypatch.setattr(linear.LinearCombination, name, wrapper)
+    return calls
+
+
 class TestZSuiteOnKernels:
     SPEC = CheckSpec(mode_bound=1, wedge_deg_cap=2, charge_bound=1)
 
     def test_no_linear_extension_per_check(self, monkeypatch):
-        calls = []
-        orig = linear.LinearCombination.map_basis
-
-        def map_basis(self, fn):
-            calls.append(fn)
-            return orig(self, fn)
-
-        monkeypatch.setattr(linear.LinearCombination, "map_basis", map_basis)
+        calls = counting_arithmetic(monkeypatch)
         assert verify_z_suite(self.SPEC).checks_run == 918
         assert calls == []
-
-    @staticmethod
-    def doubling(module, name, args):
-        """module.name with the coefficients of its value at args
-        doubled."""
-        orig = getattr(module, name)
-
-        def fn(*call):
-            out = orig(*call)
-            if call != args:
-                return out
-            if name == "_z_basis":
-                return out[0], 2 * out[1]
-            return tuple((k, 2 * c) for k, c in out)
-        return fn
 
     @pytest.mark.parametrize("module,name,args,families", [
         # Z+(-1) on the vacuum breaks the commutator of Z+ with Z-.
@@ -173,10 +178,135 @@ class TestZSuiteOnKernels:
     ], ids=["z_basis", "vertex_monomial"])
     def test_failures_match_the_public_functions(self, monkeypatch, module,
                                                  name, args, families):
-        monkeypatch.setattr(module, name, self.doubling(module, name, args))
+        monkeypatch.setattr(module, name, doubling(module, name, args))
         report = verify_z_suite(self.SPEC).to_json()
         assert {f["identity"] for f in report["failures"]} == families
         assert report == z_suite_by_public_functions(self.SPEC).to_json()
+
+
+def clifford_by_public_functions(spec):
+    """verify_clifford written with apply_mode, a_act and astar_act."""
+    report = harness.Report("clifford", {"wedge_deg_cap": spec.wedge_deg_cap,
+                                         "mode_bound": spec.mode_bound})
+    tmax = 2 * spec.mode_bound + 1
+    modes = range(-tmax, tmax + 1, 2)
+    acts = {"A": wedge.a_act, "A*": wedge.astar_act}
+    for w in harness.wedge_bases_up_to(spec.wedge_deg_cap):
+        v = wedge.WedgeElement.basis(w)
+        label = harness._basis_label(w)
+        for m in modes:
+            for n in modes:
+                for identity, a, b in [("anticommutator_A_Astar", "A", "A*"),
+                                       ("anticommutator_A_A", "A", "A"),
+                                       ("anticommutator_Astar_Astar", "A*",
+                                        "A*")]:
+                    pairing = Fraction(1 - m * m, 4) \
+                        if a != b and m + n == 0 else 0
+                    report.check(identity, [f"{m}/2", f"{n}/2"], label,
+                                 wedge.apply_mode(a, m, acts[b](n, w))
+                                 + wedge.apply_mode(b, n, acts[a](m, w))
+                                 - v.scale(pairing))
+    return report.finalize()
+
+
+def exp_suite_by_public_functions(spec):
+    """verify_e_identities written with e_coeff and h_act on Fock
+    elements."""
+    report = harness.Report("exp", {"coeff_bound": spec.mode_bound,
+                                    "fock_deg_cap": spec.max_twice_deg // 2})
+    K, D = spec.mode_bound, spec.max_twice_deg // 2
+    e_coeff, zero = fock.e_coeff, fock.FockElement.zero()
+    for mono in [m for f in range(D + 1) for m in fock._partitions(f)]:
+        v = fock.FockElement.basis(mono)
+        d = sum(mono)
+        label = json.dumps(list(mono))
+        for sub, sg, name in (("+", 1, "commute_sub_plus"),
+                              ("-", -1, "commute_sub_minus")):
+            for j in range(K + 1):
+                total = sum((e_coeff("+", sub, sg * k,
+                                     e_coeff("-", sub, sg * (j - k), v))
+                             for k in range(j + 1)), zero)
+                report.check("unit_product", [sub, sg * j], label,
+                             total - (v if j == 0 else zero))
+            for s1, s2 in [("+", "+"), ("-", "+"), ("-", "-")]:
+                for a in range(K + 1):
+                    for b in range(K + 1):
+                        report.check(name, [s1, s2, a, b], label,
+                                     e_coeff(s1, sub, sg * a,
+                                             e_coeff(s2, sub, sg * b, v))
+                                     - e_coeff(s2, sub, sg * b,
+                                               e_coeff(s1, sub, sg * a, v)))
+        for identity, s1, s2, weights, prefix in [
+                ("swap_minus_plus_same_sup", "+", "+", [1] * (K + 1), ["+"]),
+                ("swap_minus_plus_same_sup", "-", "-", [1] * (K + 1), ["-"]),
+                ("swap_mixed_sup", "+", "-", [1, -1], [])]:
+            for a in range(K + 1):
+                for b in range(K + 1):
+                    lhs = e_coeff(s1, "-", -a, e_coeff(s2, "+", b, v))
+                    rhs = sum((e_coeff(s2, "+", b - k,
+                                       e_coeff(s1, "-", k - a, v)).scale(wt)
+                               for k, wt in enumerate(
+                                   weights[:min(a, b) + 1])), zero)
+                    report.check(identity, prefix + [a, b], label, lhs - rhs)
+        for sup in "+-":
+            sgn = -1 if sup == "+" else 1
+            for j in range(-K, K + 1):
+                lhs = sum((e_coeff(sup, "+", k,
+                                   e_coeff(sup, "-", j + 1 - k, v))
+                           for k in range(max(0, j + 1), j + 1 + d + 1)),
+                          zero).scale(j + 1)
+                rhs = zero
+                for b in range(0, -(d + 1), -1):
+                    for n in range(b - j - 1, d + 1):
+                        if n:
+                            mid = fock.h_act(n, e_coeff(sup, "-", b, v))
+                            rhs = rhs + e_coeff(sup, "+", j + 1 + n - b,
+                                                mid).scale(Fraction(sgn, 2))
+                report.check("derivative_identity", [sup, j], label,
+                             lhs - rhs)
+    return report.finalize()
+
+
+class TestCliffordAndExpOnKernels:
+    CLIFFORD = CheckSpec(mode_bound=2, wedge_deg_cap=3)
+    EXP = CheckSpec(mode_bound=2, max_twice_deg=4)
+
+    def test_no_linear_combination_arithmetic(self, monkeypatch):
+        calls = counting_arithmetic(monkeypatch)
+        assert verify_clifford(self.CLIFFORD).checks_run == 1296
+        assert verify_e_identities(self.EXP).checks_run == 388
+        assert calls == []
+
+    def test_clifford_failures_match_the_public_functions(self,
+                                                          monkeypatch):
+        # A(-3/2) on the vacuum, doubled, breaks the anticommutators of A
+        # with A* and with itself on the wedges it reaches.
+        monkeypatch.setattr(wedge, "flip",
+                            doubling(wedge, "flip", (1, -3, wedge.VACUUM)))
+        spec = CheckSpec(mode_bound=1, wedge_deg_cap=2)
+        report = verify_clifford(spec).to_json()
+        assert {f["identity"] for f in report["failures"]} \
+            == {"anticommutator_A_Astar", "anticommutator_A_A"}
+        assert report == clifford_by_public_functions(spec).to_json()
+
+    def test_exp_failures_match_the_public_functions(self, monkeypatch):
+        # The z^1 row of E^+_+ on the Fock vacuum, doubled; the rows built
+        # on it are cached, so the cache is cleared around the patch.
+        table = fock._e_coeff_monomial
+        table.cache_clear()
+        monkeypatch.setattr(fock, "_e_coeff_monomial",
+                            doubling(fock, "_e_coeff_monomial",
+                                     ("+", "+", 1, ())))
+        try:
+            spec = CheckSpec(mode_bound=1, max_twice_deg=4)
+            report = verify_e_identities(spec).to_json()
+            want = exp_suite_by_public_functions(spec).to_json()
+        finally:
+            table.cache_clear()
+        assert {f["identity"] for f in report["failures"]} \
+            == {"unit_product", "commute_sub_plus",
+                "swap_minus_plus_same_sup", "derivative_identity"}
+        assert report == want
 
 
 class TestCharacter:

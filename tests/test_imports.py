@@ -1,5 +1,6 @@
-"""Every module-level import of a package module is used: no linter runs on
-this tree, so an import orphaned by a refactor shows up here."""
+"""Every module-level import of a package module is used, and every
+export of the package resolves: no linter runs on this tree, so an import
+or export orphaned by a refactor shows up here."""
 
 import ast
 import os
@@ -31,6 +32,12 @@ def test_module_imports_are_used(path):
                 for name in _bound_names(node)]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in used] == []
+
+
+def test_exports_resolve_once():
+    names = sl2crit.__all__
+    assert [name for name in names if not hasattr(sl2crit, name)] == []
+    assert sorted({name for name in names if names.count(name) > 1}) == []
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

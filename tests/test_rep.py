@@ -396,6 +396,13 @@ def test_state_serialization_round_trip():
     assert rep.state_from_json(rep.state_to_json(s)) == s
 
 
+def test_rational_serialization():
+    s = (rep.basis_state(coeff=Fraction(-3, 4))
+         + rep.basis_state((1,), coeff=Fraction(10, 2)))
+    coeffs = [t["coeff"] for t in rep.state_to_json(s)["terms"]]
+    assert coeffs == ["-3/4", "5"]
+
+
 # Wedges with up to three extra negative factors in -11/2..-3/2 and up to
 # three holes in 3/2..11/2, as doubled indices.
 WEDGES = st.builds(

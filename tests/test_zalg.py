@@ -121,24 +121,25 @@ class TestPinnedOutput:
 class TestExactTermination:
     """On a basis key (w, p) a same-sign series ends at
     k = _reach(w, p) - min(m, n): every later term applies a mode above
-    the reach first.  On a state the largest of these bounds serves every
-    key."""
-
-    @staticmethod
-    def pair_on_state(sg, j1, j2, s):
-        """Z^sg(j1) Z^sg(j2) on the state s, as a dict without zeros."""
-        out = {}
-        for key, c in s:
-            term = zalg._pair_term(sg, sg, j1, j2, key)
-            if term:
-                out[term[0]] = out.get(term[0], 0) + c * term[1]
-        return {key: c for key, c in out.items() if c}
+    the reach first."""
 
     @staticmethod
     def tail_is_zero(sg, m, n, key, kmax):
         return not any(zalg._pair_term(sg, sg, m - k, n + k, key)
                        or zalg._pair_term(sg, sg, n - k, m + k, key)
                        for k in range(kmax + 1, kmax + 9))
+
+    @staticmethod
+    def series(sg, m, n, key, kmax):
+        """The same-sign series on key through term kmax, as a dict
+        without zeros."""
+        out = {}
+        for k in range(kmax + 1):
+            for term, wt in ((zalg._pair_term(sg, sg, m - k, n + k, key), 1),
+                             (zalg._pair_term(sg, sg, n - k, m + k, key), -1)):
+                if term:
+                    out[term[0]] = out.get(term[0], 0) + wt * term[1]
+        return {key: c for key, c in out.items() if c}
 
     def test_terms_past_the_bound_vanish_on_window(self):
         cases = 0
@@ -154,22 +155,31 @@ class TestExactTermination:
                             cases += 1
         assert cases == 10290
 
-    def test_multi_term_state_bound_is_the_largest_reach(self):
-        terms = [omega_basis(wedge.WedgeBasis((), (9,)), 1),
-                 omega_basis(wedge.WedgeBasis((-7, -3), ()), -1, 2),
-                 omega_basis(wedge.VACUUM, 0, -1)]
-        s = sum(terms, OmegaState.zero())
+    def test_each_key_ends_at_its_own_reach(self):
+        keys = [(wedge.WedgeBasis((), (9,)), 1),
+                (wedge.WedgeBasis((-7, -3), ()), -1),
+                (wedge.VACUUM, 0)]
+        kept = {}
         for sg, want in [("+", [6, -2, -1]), ("-", [-2, 5, -1])]:
-            reaches = [zalg._reach(sg, w, p) for t in terms for (w, p), _ in t]
+            reaches = [zalg._reach(sg, *key) for key in keys]
             assert reaches == want
-            for m in range(-3, 4):
-                for n in range(-3, 4):
-                    kmax = max(reaches) - min(m, n)
-                    assert all(self.tail_is_zero(sg, m, n, key, kmax)
-                               for key, _ in s)
-                    # The last term kept is not zero: the bound is attained.
-                    assert (self.pair_on_state(sg, m - kmax, n + kmax, s)
-                            or self.pair_on_state(sg, n - kmax, m + kmax, s))
+            for key, reach in zip(keys, reaches):
+                kept[sg, key] = 0
+                for m in range(-3, 4):
+                    for n in range(-3, 4):
+                        kmax = reach - min(m, n)
+                        pairs, den = zalg._gencom_basis(sg, sg, m, n, key)
+                        assert den == 1
+                        assert {k: c for k, c in pairs if c} \
+                            == self.series(sg, m, n, key, kmax + 8)
+                        kept[sg, key] += bool(
+                            zalg._pair_term(sg, sg, m - kmax, n + kmax, key)
+                            or zalg._pair_term(sg, sg, n - kmax, m + kmax,
+                                               key))
+        # The last term kept is nonzero at every (m, n) on the key of the
+        # largest reach, and at none on ({-7/2, -3/2}, -1) under '+'.
+        assert kept["+", keys[0]] == kept["-", keys[1]] == 49
+        assert kept["+", keys[1]] == 0
 
 
 class TestDefinitionEquivalence:
