@@ -11,28 +11,28 @@ from sl2crit import rep, wedge, zalg
 
 
 def fmt(s):
-    return [(wedge.serialize_basis(w), p, str(c)) for (w, p), c in s]
+    return [(wedge.serialize_basis(w), p, str(c)) for (_, w, p), c in s]
 
 
 def main():
-    vac = zalg.omega_basis()
+    # A vacuum-space vector is a State with Fock factor 1: keys ((), w, p).
+    vac = rep.basis_state((), wedge.VACUUM, 0)
     print("Z+(-1) vacuum ->", fmt(zalg.z_act_full("+", -1, vac)))
     print("Z-(-1) vacuum ->", fmt(zalg.z_act_full("-", -1, vac)))
     print()
 
     # Closed form versus the definition (field components dressed with
-    # exponential operators), on an embedded state.
-    s = zalg.omega_basis(wedge.WedgeBasis((-3,), ()), 1)
-    emb = zalg.omega_embed(s)
+    # exponential operators), on a vacuum-space state.
+    s = rep.basis_state((), wedge.WedgeBasis((-3,), ()), 1)
     for m in range(-2, 3):
-        direct = zalg.zop_via_definition("+", m, emb)
-        closed = zalg.omega_embed(zalg.z_act_full("+", m, s))
+        direct = zalg.zop_via_definition("+", m, s)
+        closed = zalg.z_act_full("+", m, s)
         assert direct == closed, m
     print("definition and closed form agree for Z+ modes -2..2")
 
     # Generalized commutator with opposite signs: eigenvalue 2p - 2m.
     for p in (-1, 0, 2):
-        s = zalg.omega_basis(wedge.VACUUM, p)
+        s = rep.basis_state((), wedge.VACUUM, p)
         for m in (-2, 0, 1):
             got = zalg.gen_commutator("+", "-", m, -m, s)
             assert got == s.scale(2 * p - 2 * m), (p, m)
@@ -51,8 +51,8 @@ def main():
     # The dressed modes commute with the Heisenberg annihilators, so
     # they genuinely preserve the vacuum space.
     for n in (1, 2, 3):
-        out = rep.h_act_full(n, zalg.zop_via_definition("+", -1, emb))
-        assert out == zalg.zop_via_definition("+", -1, rep.h_act_full(n, emb))
+        out = rep.h_act_full(n, zalg.zop_via_definition("+", -1, s))
+        assert out == zalg.zop_via_definition("+", -1, rep.h_act_full(n, s))
     print("Z modes commute with the Heisenberg annihilators")
 
 

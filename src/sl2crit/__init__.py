@@ -13,8 +13,7 @@ from .wedge import VACUUM, WedgeBasis, WedgeElement, a_act, astar_act
 from .rep import (NotAWeightVector, State, WeightTriple, alpha0_eig,
                   basis_state, c_act, chevalley_act, d_act, h_act_full,
                   lattice_d_eig, v0, v1, weight_of, x_act, y_act)
-from .zalg import (OmegaState, gen_commutator, omega_basis, omega_embed,
-                   z_act_full, zop_via_definition)
+from .zalg import gen_commutator, z_act_full, zop_via_definition
 from .harness import CheckSpec, Report, character, d_homogeneity_probe
 
 __version__ = "0.1.0"
@@ -26,7 +25,6 @@ __all__ = [
     "State", "WeightTriple", "NotAWeightVector", "basis_state", "v0", "v1",
     "x_act", "y_act", "h_act_full", "c_act", "d_act", "chevalley_act",
     "weight_of",
-    "OmegaState", "omega_basis", "omega_embed", "gen_commutator",
-    "zop_via_definition", "z_act_full",
+    "gen_commutator", "zop_via_definition", "z_act_full",
     "CheckSpec", "Report", "character", "d_homogeneity_probe",
 ]

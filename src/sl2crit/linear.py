@@ -1,8 +1,7 @@
 """Finite rational linear combinations over hashable basis keys.
 
-Shared machinery for Fock elements, wedge elements, full states and
-vacuum-space states.  Zero coefficients are never stored; equality is
-exact.
+Shared machinery for Fock elements, wedge elements and states.  Zero
+coefficients are never stored; equality is exact.
 """
 
 from __future__ import annotations

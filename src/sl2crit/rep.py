@@ -140,9 +140,9 @@ def _h_terms(n, fockmono, w, p):
 
 
 def _z_terms(sign, m, key):
-    """Z^sign(m) on the (w, p) end of a State or OmegaState key."""
-    term = _z_basis(sign, m, key[-2:])
-    return ((key[:-2] + term[0], term[1]),) if term else (), 1
+    """Z^sign(m) on the (w, p) end of a State key."""
+    term = _z_basis(sign, m, key[1:])
+    return (((key[0],) + term[0], term[1]),) if term else (), 1
 
 
 def term_d_eig(fockmono, w, p):
@@ -279,18 +279,16 @@ def weight_of(s):
 
 
 def key_to_json(key):
-    """JSON object of one basis key of a State or an OmegaState; "fock" is
-    written only for keys with a Fock factor."""
-    out = {"fock": list(key[0])} if len(key) == 3 else {}
-    out["wedge"] = wedge.serialize_basis(key[-2])
-    out["charge"] = key[-1]
-    return out
+    """JSON object of one basis key (mono, w, p) of a State."""
+    mono, w, p = key
+    return {"fock": list(mono), "wedge": wedge.serialize_basis(w),
+            "charge": p}
 
 
 def state_to_json(s):
-    """Canonical JSON of a State or an OmegaState, ordered by degree."""
+    """Canonical JSON of a State, ordered by degree."""
     def order(key):
-        mono, w, p = key if len(key) == 3 else ((),) + key
+        mono, w, p = key
         return (sum(mono) + w.degree(), p, mono, w.neg, w.holes)
 
     return {"terms": [{"coeff": str(s.terms[key]),
@@ -299,11 +297,12 @@ def state_to_json(s):
 
 
 # One term of state_to_json as json.dumps(indent=2) writes it at the depth
-# of the "terms" list: coeff, the "fock" line or nothing, neg, holes, charge.
+# of the "terms" list: coeff, fock, neg, holes, charge.
 _TERM = """\
     {
       "coeff": %s,
-%s      "wedge": {
+      "fock": %s,
+      "wedge": {
         "neg": %s,
         "holes": %s
       },
@@ -323,9 +322,8 @@ def _list_text(items, indent):
 
 def _term_text(term):
     w = term["wedge"]
-    fock_line = (f'      "fock": {_list_text(map(str, term["fock"]), 8)},\n'
-                 if "fock" in term else "")
-    return _TERM % (_quote(term["coeff"]), fock_line,
+    return _TERM % (_quote(term["coeff"]),
+                    _list_text(map(str, term["fock"]), 8),
                     _list_text(map(_quote, w["neg"]), 10),
                     _list_text(map(_quote, w["holes"]), 10), term["charge"])
 
@@ -342,20 +340,18 @@ def state_text(s):
             + "\n  ]\n}")
 
 
-def state_from_json(data, cls=State):
-    """Inverse of state_to_json for `cls`, State or OmegaState.  Malformed
-    input raises ValueError: a missing field is named with the index of its
-    term, and a nonempty "fock" in an OmegaState term is refused."""
+def state_from_json(data):
+    """Inverse of state_to_json.  Malformed input raises ValueError; a
+    missing field is named with the index of its term."""
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list) or not all(isinstance(t, dict)
                                               for t in terms):
         raise ValueError('expected {"terms": [term, ...]}')
-    full = issubclass(cls, State)
     out = {}
     for i, term in enumerate(terms):
         try:
             coeff, charge, w = term["coeff"], term["charge"], term["wedge"]
-            mono = term["fock"] if full else term.get("fock", [])
+            mono = term["fock"]
         except KeyError as exc:
             raise ValueError(f"term {i} has no {exc.args[0]!r} field") \
                 from None
@@ -367,11 +363,6 @@ def state_from_json(data, cls=State):
             coeff = Fraction(int(num), int(den) if slash else 1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {term!r}") from None
-        key = (wedge.parse_basis(w), charge)
-        if full:
-            key = (fock.parse_monomial(mono),) + key
-        elif mono != []:
-            raise ValueError(f"term {i} of a vacuum-space state has a Fock "
-                             f"factor: {mono!r}")
+        key = (fock.parse_monomial(mono), wedge.parse_basis(w), charge)
         out[key] = out.get(key, 0) + coeff
-    return cls(out)
+    return State(out)

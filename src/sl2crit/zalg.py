@@ -1,13 +1,14 @@
 """Z-operators on the vacuum space and their generalized commutators.
 
-On the vacuum space (trivial Fock factor) each moded Z-operator reduces to
-a single oscillator mode per charge sector, because the lattice z-power
-contributes a pure monomial.  On the full module a Z-operator acts on the
-vacuum-space factor alone (z_act_full).  The basis-level mode _z_basis,
-its bound _reach and the Z kernel live in rep, whose X and Y are the same
-modes dressed by the Heisenberg exponentials, so one cache serves X, Y
-and Z±.  The series definition on the full module (X or Y dressed by the
-inverse exponentials, zop_via_definition) is kept as a check that those
+By V = Fock ⊗ Ω a vacuum-space vector is a State on keys ((), w, p), and a
+Z-operator acts on the Ω factor alone: on a key (mono, w, p) each moded
+Z-operator reduces to a single oscillator mode per charge sector on
+(w, p), because the lattice z-power contributes a pure monomial, and mono
+is carried over.  The basis-level mode _z_basis, its bound _reach and the
+Z kernel live in rep, whose X and Y are the same modes dressed by the
+Heisenberg exponentials, so one cache serves X, Y and Z±.  The series
+definition on the full module (X or Y dressed by the inverse
+exponentials, zop_via_definition) is kept as a check that those
 exponentials cancel the Heisenberg part of the field; the independent
 evidence for X and Y is the direct oscillator sum in the tests.
 """
@@ -16,28 +17,15 @@ from __future__ import annotations
 
 from functools import partial
 
-from . import fock, rep, wedge
-from .linear import LinearCombination, combine
+from . import fock, rep
+from .linear import combine
 from .rep import _reach
 
 
-class OmegaState(LinearCombination):
-    """Finite rational combination of (wedge, charge) pairs."""
-
-
-def omega_basis(wedgebasis=wedge.VACUUM, charge=0, coeff=1):
-    return OmegaState.basis((wedgebasis, charge), coeff)
-
-
-def omega_embed(s):
-    """Include the vacuum space into the full module (Fock factor 1)."""
-    return rep.State({((), w, p): c for (w, p), c in s.terms.items()})
-
-
 def z_act_full(sign, m, s):
-    """Component m of Z^sign on a State or an OmegaState: the linear
-    extension of its kernel rep.KERNELS["Z" + sign], which reads the
-    basis-level mode rep._z_basis on the (w, p) end of a key.
+    """Component m of Z^sign on a State: the linear extension of its
+    kernel rep.KERNELS["Z" + sign], which reads the basis-level mode
+    rep._z_basis on the (w, p) end of a key.
 
     On the vacuum space this is the closed form.  On the full module it is
     the Heisenberg factorization: Z^sign(m) commutes with every H(n),
@@ -55,7 +43,8 @@ def z_act_full(sign, m, s):
 
 
 def _pair_term(s1, s2, j1, j2, key):
-    """Z^{s1}(j1) Z^{s2}(j2) on a basis key (w, p): (key, int) or None."""
+    """Z^{s1}(j1) Z^{s2}(j2) on the Ω part (w, p) of a basis key:
+    ((w2, p2), int) or None."""
     inner = rep._z_basis(s2, j2, key)
     if not inner:
         return None
@@ -64,34 +53,37 @@ def _pair_term(s1, s2, j1, j2, key):
 
 
 def _gencom_basis(s1, s2, m, n, key):
-    """The kernel of gen_commutator on a basis key (w, p), over den 1."""
+    """The kernel of gen_commutator on a basis key (mono, w, p), over den
+    1.  The Z-modes act on (w, p) alone: the series is summed on (w, p),
+    and mono is put back on each key whose sum is nonzero."""
     # (1 - w/z)^e contributes (w/z)^k with weight (-1)^k C(e, k),
     # shifting the z-component down and the w-component up by k; the
     # swapped product expands in z/w and shifts the other way.  That weight
     # is 1, -1 for e = +1 (opposite signs) and 1 for every k when e = -1.
+    mono, wp = key[0], key[1:]
     if s1 != s2:
         weights = (1, -1)
     else:
-        weights = (1,) * (_reach(s1, *key) - min(m, n) + 1)
+        weights = (1,) * (_reach(s1, *wp) - min(m, n) + 1)
     sums = {}
     for k, wt in enumerate(weights):
-        for term, sg in ((_pair_term(s1, s2, m - k, n + k, key), wt),
-                         (_pair_term(s2, s1, n - k, m + k, key), -wt)):
+        for term, sg in ((_pair_term(s1, s2, m - k, n + k, wp), wt),
+                         (_pair_term(s2, s1, n - k, m + k, wp), -wt)):
             if term:
                 sums[term[0]] = sums.get(term[0], 0) + sg * term[1]
-    return sums.items(), 1
+    return [((mono,) + wp2, c) for wp2, c in sums.items() if c], 1
 
 
 def gen_commutator(s1, s2, m, n, s):
     """Coefficient of z^{-m} w^{-n} of the generalized commutator of
-    Z^{s1}(z) and Z^{s2}(w), applied to a vacuum-space state: the linear
-    extension of the kernel _gencom_basis.
+    Z^{s1}(z) and Z^{s2}(w), applied to a State: the linear extension of
+    the kernel _gencom_basis.
 
     The binomial weights come from the expansion exponent
     (phi1, phi2)/(-2), which is +1 for opposite signs (a finite sum over
     k = 0, 1) and -1 for equal signs (an infinite series over k >= 0).
-    On each basis key (w, p) the series ends at an exact bound of its
-    own: term k applies Z^{s1}(n + k) or Z^{s1}(m + k) to (w, p) first,
+    On each basis key (mono, w, p) the series ends at an exact bound of
+    its own: term k applies Z^{s1}(n + k) or Z^{s1}(m + k) to (w, p) first,
     and both vanish once n + k and m + k exceed _reach(s1, w, p), that is
     for k > _reach(s1, w, p) - min(m, n).  Each term on a basis key is one
     key times an int (_pair_term), so the kernel is a sum of ints.

@@ -4,9 +4,10 @@ shows up as a changed digest.
 
 Failure entries are produced by patching one kernel or operator so that
 a small suite records residuals through its own recording path; one injected
-suite per residual type (wedge, Fock, full state, vacuum-space state,
-weight triple), and one for the fraction-free current suite, whose
-residuals are integer vectors turned back into states.
+suite per residual type (wedge, Fock, State, weight triple), one for the
+zalg suite, whose State residuals live on vacuum-space keys ((), w, p),
+and one for the fraction-free current suite, whose residuals are integer
+vectors turned back into States.
 """
 
 import hashlib
@@ -152,10 +153,10 @@ def _inject_state_and_weight(mp):
 
 def _inject_omega(mp):
     # The residual 5 ({holes 3}, -1) - 7/2 (vacuum, 1) + ({neg -5}, 0) on
-    # every key, as ints over 2.
-    residual = (((wedge.WedgeBasis((), (3,)), -1), 10),
-                ((wedge.VACUUM, 1), -7),
-                ((wedge.WedgeBasis((-5,), ()), 0), 2)), 2
+    # every vacuum-space key, as ints over 2.
+    residual = ((((), wedge.WedgeBasis((), (3,)), -1), 10),
+                (((), wedge.VACUUM, 1), -7),
+                (((), wedge.WedgeBasis((-5,), ()), 0), 2)), 2
     mp.setattr(zalg, "_gencom_basis", lambda *args: residual)
     return harness.verify_z_suite(CheckSpec(mode_bound=0, wedge_deg_cap=0,
                                             charge_bound=0))
@@ -183,7 +184,7 @@ INJECTED = [
     ("state-and-weight", _inject_state_and_weight, 13, 3,
      "27ee61fded6b1629de8c91ead7af7f494709e5b65f7f7cbcee4453a40e7e0d32"),
     ("omega", _inject_omega, 11, 3,
-     "f3f15c07395aa0f4b32356e81ef64d94dd6fd07cce2c107f9bf7e1124f8d52ba"),
+     "304dbbc36a17b72466eaab083a35d8d3f5fc54b84e795ddf8c469a77ca3182c4"),
     ("current", _inject_current, 589, 48,
      "bf5d6ef26b8e4664e1631845b1c166222f435e7c030a34442a2857fc5b722ed6"),
 ]

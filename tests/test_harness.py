@@ -103,12 +103,12 @@ def z_suite_by_public_functions(spec):
     modes = range(-M, M + 1)
     for w in harness.wedge_bases_up_to(spec.wedge_deg_cap):
         for p in range(-P, P + 1):
-            s = zalg.omega_basis(w, p)
-            label = harness._basis_label((w, p))
+            s = rep.basis_state((), w, p)
+            label = harness._basis_label(((), w, p))
             for m in modes:
                 for n in modes:
                     want = s.scale(2 * p - 2 * m) if m + n == 0 \
-                        else zalg.OmegaState.zero()
+                        else rep.State.zero()
                     report.check("gencom_plus_minus", [m, n], label,
                                  zalg.gen_commutator("+", "-", m, n, s)
                                  - want)
@@ -117,18 +117,18 @@ def z_suite_by_public_functions(spec):
                                      zalg.gen_commutator(sg, sg, m, n, s))
     for w in harness.wedge_bases_up_to(min(spec.wedge_deg_cap, 4)):
         for p in range(-P, P + 1):
-            emb = zalg.omega_embed(zalg.omega_basis(w, p))
-            label = harness._basis_label((w, p))
+            s = rep.basis_state((), w, p)
+            label = harness._basis_label(((), w, p))
             for m in modes:
                 for sg in "+-":
-                    z = zalg.zop_via_definition(sg, m, emb)
+                    z = zalg.zop_via_definition(sg, m, s)
                     report.check("definition_vs_closed_form", [sg, m], label,
-                                 z - zalg.z_act_full(sg, m, emb))
+                                 z - zalg.z_act_full(sg, m, s))
                     for n in range(1, 4):
                         report.check("H_commutes_with_Z", [sg, m, n], label,
                                      rep.h_act_full(n, z)
                                      - zalg.zop_via_definition(
-                                         sg, m, rep.h_act_full(n, emb)))
+                                         sg, m, rep.h_act_full(n, s)))
     return report.finalize()
 
 

@@ -1,11 +1,15 @@
-"""Every module-level import of a package module is used, and every
-export of the package resolves: no linter runs on this tree, so an import
-or export orphaned by a refactor shows up here."""
+"""Every module-level import of a package module is used, every export
+of the package resolves, and so does every package name that the README
+quotes: no linter runs on this tree, so an import, export or README name
+orphaned by a refactor shows up here."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -38,6 +42,38 @@ def test_exports_resolve_once():
     names = sl2crit.__all__
     assert [name for name in names if not hasattr(sl2crit, name)] == []
     assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
+def _readme_names():
+    """The dotted names that open a backticked span of README.md outside
+    its code blocks and whose first part, after an optional `sl2crit.`, is
+    a package module: `rep.act(op, m, s)` gives rep.act."""
+    modules = {p.stem for p in MODULES}
+    readme = Path(sl2crit.__file__).parents[2] / "README.md"
+    text = re.sub(r"```.*?```", "", readme.read_text(), flags=re.S)
+    names = []
+    for span in re.findall(r"`([^`]*)`", text):
+        match = re.match(r"(?:sl2crit\.)?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)",
+                         span)
+        if match and match.group(1).split(".")[0] in modules:
+            names.append(match.group(1))
+    return names
+
+
+def test_readme_names_resolve():
+    names = _readme_names()
+    assert len(names) > 20
+
+    def resolves(name):
+        first, *rest = name.split(".")
+        try:
+            reduce(getattr, rest,
+                   importlib.import_module(f"sl2crit.{first}"))
+        except AttributeError:
+            return False
+        return True
+
+    assert [name for name in names if not resolves(name)] == []
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

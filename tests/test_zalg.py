@@ -6,67 +6,71 @@ import pytest
 
 from sl2crit import fock, rep, wedge, zalg
 from sl2crit.harness import state_basis, wedge_bases_up_to
-from sl2crit.zalg import (OmegaState, gen_commutator, omega_basis,
-                          omega_embed, z_act_full, zop_via_definition)
+from sl2crit.rep import State, basis_state
+from sl2crit.zalg import gen_commutator, z_act_full, zop_via_definition
+
 
 
 class TestModedOperators:
     def test_zplus_zero_on_vacuum(self):
         # Mode -1/2 would duplicate the fixed factor: annihilated.
-        assert z_act_full("+", 0, omega_basis()).is_zero()
+        assert z_act_full("+", 0, rep.v0()).is_zero()
 
     def test_zplus_minus_one_on_vacuum(self):
-        want = omega_basis(wedge.WedgeBasis((-3,), ()), 1, -2)
-        assert z_act_full("+", -1, omega_basis()) == want
+        want = basis_state((), wedge.WedgeBasis((-3,), ()), 1, -2)
+        assert z_act_full("+", -1, rep.v0()) == want
 
     def test_zplus_matches_raising_component(self):
-        got = omega_embed(z_act_full("+", -1, omega_basis()))
+        got = z_act_full("+", -1, rep.v0())
         assert got == rep.x_act(-1, rep.v0())
 
     def test_zminus_edge_cases_on_vacuum(self):
-        assert z_act_full("-", 0, omega_basis()).is_zero()
-        assert z_act_full("-", 1, omega_basis()).is_zero()
+        assert z_act_full("-", 0, rep.v0()).is_zero()
+        assert z_act_full("-", 1, rep.v0()).is_zero()
 
     def test_zminus_minus_one_on_vacuum(self):
         # astar mode -3/2 removes the second word letter: sign -1, scalar
         # -2, net +2 (the literal-word oracle in test_wedge fixes this).
-        want = omega_basis(wedge.WedgeBasis((), (3,)), -1, 2)
-        assert z_act_full("-", -1, omega_basis()) == want
+        want = basis_state((), wedge.WedgeBasis((), (3,)), -1, 2)
+        assert z_act_full("-", -1, rep.v0()) == want
 
     def test_charge_shifts(self):
-        s = omega_basis(wedge.WedgeBasis((-3,), ()), 1)
+        s = basis_state((), wedge.WedgeBasis((-3,), ()), 1)
         for m in range(-3, 4):
-            for (w2, p2), _ in z_act_full("+", m, s):
+            for (_, w2, p2), _ in z_act_full("+", m, s):
                 assert p2 == 2 and w2.charge == 2
-            for (w2, p2), _ in z_act_full("-", m, s):
+            for (_, w2, p2), _ in z_act_full("-", m, s):
                 assert p2 == 0 and w2.charge == 0
+
+
+SIGN_PAIRS = [("+", "-"), ("-", "+"), ("+", "+"), ("-", "-")]
 
 
 class TestGeneralizedCommutators:
     def test_plus_minus_at_zero_on_vacuum(self):
-        assert gen_commutator("+", "-", 0, 0, omega_basis()).is_zero()
+        assert gen_commutator("+", "-", 0, 0, rep.v0()).is_zero()
 
     def test_plus_minus_eigenvalue(self):
         # (2p - 2m) delta_{m+n,0} on charge eigenstates.
         for p in (-2, 0, 1):
             for w in (wedge.VACUUM, wedge.WedgeBasis((-3,), (5,))):
-                s = omega_basis(w, p)
+                s = basis_state((), w, p)
                 for m in range(-3, 4):
                     for n in range(-3, 4):
                         got = gen_commutator("+", "-", m, n, s)
                         want = s.scale(2 * p - 2 * m) if m + n == 0 \
-                            else OmegaState.zero()
+                            else State.zero()
                         assert got == want, (p, w, m, n)
 
     def test_example_value(self):
-        s = omega_basis()
+        s = rep.v0()
         assert gen_commutator("+", "-", 1, -1, s) == s.scale(-2)
 
     def test_same_sign_vanish_with_certified_termination(self):
         for p in (-1, 0, 2):
             for w in (wedge.VACUUM, wedge.WedgeBasis((-5,), ()),
                       wedge.WedgeBasis((), (3, 7))):
-                s = omega_basis(w, p)
+                s = basis_state((), w, p)
                 for m in range(-3, 4):
                     for n in range(-3, 4):
                         assert gen_commutator("+", "+", m, n, s).is_zero()
@@ -74,10 +78,47 @@ class TestGeneralizedCommutators:
 
     def test_bad_signs_rejected(self):
         with pytest.raises(ValueError):
-            gen_commutator("+", "x", 0, 0, omega_basis())
+            gen_commutator("+", "x", 0, 0, rep.v0())
 
+    # Three monomials and three Ω keys: the vacuum, a wedge with an extra
+    # negative factor and a hole, and one of reach 6 under '+'.
+    MONOS = [(), (1,), (2, 1)]
+    OMEGA_KEYS = [(wedge.VACUUM, 0), (wedge.WedgeBasis((-3,), (5,)), -1),
+                  (wedge.WedgeBasis((), (9,)), 1)]
 
-SIGN_PAIRS = [("+", "-"), ("-", "+"), ("+", "+"), ("-", "-")]
+    def test_fock_factor_is_carried_over(self):
+        # [Z^s1(m), Z^s2(n)] (mono ⊗ ω) = mono ⊗ [Z^s1(m), Z^s2(n)] ω:
+        # the Z-modes act on the Ω factor alone.
+        nonzero = 0
+        for w, p in self.OMEGA_KEYS:
+            omega = basis_state((), w, p)
+            for s1, s2 in SIGN_PAIRS:
+                for m in range(-3, 4):
+                    for n in range(-3, 4):
+                        image = gen_commutator(s1, s2, m, n, omega)
+                        nonzero += bool(image)
+                        for mono in self.MONOS:
+                            got = gen_commutator(s1, s2, m, n,
+                                                 basis_state(mono, w, p))
+                            assert got == State({(mono,) + k[1:]: c
+                                                 for k, c in image}), \
+                                (mono, w, p, s1, s2, m, n)
+        assert nonzero > 0
+
+    def test_relations_with_fock_factor(self):
+        # (2p - 2m) delta_{m+n,0} for opposite signs, 0 for equal ones, on
+        # mono ⊗ ω.
+        for mono in self.MONOS:
+            for w, p in self.OMEGA_KEYS:
+                s = basis_state(mono, w, p)
+                for m in range(-3, 4):
+                    for n in range(-3, 4):
+                        want = s.scale(2 * p - 2 * m) if m + n == 0 \
+                            else State.zero()
+                        assert gen_commutator("+", "-", m, n, s) == want, \
+                            (mono, w, p, m, n)
+                        assert gen_commutator("+", "+", m, n, s).is_zero()
+                        assert gen_commutator("-", "-", m, n, s).is_zero()
 
 
 def codec_digest(states):
@@ -93,7 +134,7 @@ class TestPinnedOutput:
     def test_window_digest(self):
         # All four sign pairs, wedge degree <= 4, p in [-2, 2], m, n in
         # [-3, 3].
-        out = [gen_commutator(s1, s2, m, n, omega_basis(w, p))
+        out = [gen_commutator(s1, s2, m, n, basis_state((), w, p))
                for s1, s2 in SIGN_PAIRS
                for w in wedge_bases_up_to(4)
                for p in range(-2, 3)
@@ -101,21 +142,22 @@ class TestPinnedOutput:
                for n in range(-3, 4)]
         assert len(out) == 20580
         assert codec_digest(out) == (
-            "42f5865c19b2aa8c5b118a22854ba5cc49b8d700c553a86192b5ed24c05def6d")
+            "b31dc317a49520a6c55506c633a271240e62762e6892f9cc2408da539eac24c3")
 
     def test_multi_term_state_digest(self):
         # Non-unit Fraction coefficients: linearity in the input state.
-        s = (omega_basis(wedge.WedgeBasis((), (9,)), 1, Fraction(2, 3))
-             + omega_basis(wedge.WedgeBasis((-7, -3), ()), -1,
+        s = (basis_state((), wedge.WedgeBasis((), (9,)), 1, Fraction(2, 3))
+             + basis_state((), wedge.WedgeBasis((-7, -3), ()), -1,
                            Fraction(-5, 4))
-             + omega_basis(wedge.WedgeBasis((-3,), (5,)), 0, Fraction(7, 2)))
+             + basis_state((), wedge.WedgeBasis((-3,), (5,)), 0,
+                           Fraction(7, 2)))
         out = [gen_commutator(s1, s2, m, n, s)
                for s1, s2 in SIGN_PAIRS
                for m in range(-3, 4)
                for n in range(-3, 4)]
         assert sum(map(len, out)) > 0
         assert codec_digest(out) == (
-            "d30bf7618aa2240c33ecec3210ce595e6c16909e4f407f21d2dba639b6891a7e")
+            "c1399c4aa1c2c8b79f9058f4ce0b54d816a263f58ce564633c33a325100a2641")
 
 
 class TestExactTermination:
@@ -168,9 +210,10 @@ class TestExactTermination:
                 for m in range(-3, 4):
                     for n in range(-3, 4):
                         kmax = reach - min(m, n)
-                        pairs, den = zalg._gencom_basis(sg, sg, m, n, key)
+                        pairs, den = zalg._gencom_basis(sg, sg, m, n,
+                                                        ((),) + key)
                         assert den == 1
-                        assert {k: c for k, c in pairs if c} \
+                        assert {k[1:]: c for k, c in pairs if c} \
                             == self.series(sg, m, n, key, kmax + 8)
                         kept[sg, key] += bool(
                             zalg._pair_term(sg, sg, m - kmax, n + kmax, key)
@@ -186,13 +229,12 @@ class TestDefinitionEquivalence:
     def test_matches_closed_form_on_window(self):
         for w in wedge_bases_up_to(3):
             for p in (-2, -1, 0, 1, 2):
-                s = omega_basis(w, p)
-                emb = omega_embed(s)
+                s = basis_state((), w, p)
                 for m in range(-3, 4):
-                    assert zop_via_definition("+", m, emb) \
-                        == omega_embed(z_act_full("+", m, s)), ("+", w, p, m)
-                    assert zop_via_definition("-", m, emb) \
-                        == omega_embed(z_act_full("-", m, s)), ("-", w, p, m)
+                    assert zop_via_definition("+", m, s) \
+                        == z_act_full("+", m, s), ("+", w, p, m)
+                    assert zop_via_definition("-", m, s) \
+                        == z_act_full("-", m, s), ("-", w, p, m)
 
     def test_z_plus_zero_on_embedded_vacuum(self):
         assert zop_via_definition("+", 0, rep.v0()).is_zero()
@@ -278,7 +320,7 @@ class TestPinnedDefinition:
 @pytest.mark.parametrize("bad", ["", "+-", "x"])
 @pytest.mark.parametrize("call", [
     lambda sg: fock.e_coeff(sg, "+", 1, fock.ONE),
-    lambda sg: gen_commutator(sg, "+", 0, 0, omega_basis()),
+    lambda sg: gen_commutator(sg, "+", 0, 0, rep.v0()),
     lambda sg: zop_via_definition(sg, 0, rep.v0()),
     lambda sg: zalg.z_act_full(sg, 0, rep.v0()),
 ], ids=["e_coeff", "gen_commutator", "zop_via_definition", "z_act_full"])
@@ -299,20 +341,12 @@ def test_vertex_cache_is_bounded():
 
 class TestVacuumSpaceMaps:
     def test_embedded_states_are_heisenberg_vacua(self):
-        s = omega_basis(wedge.WedgeBasis((-5, -3), (3,)), -1)
+        s = basis_state((), wedge.WedgeBasis((-5, -3), (3,)), -1)
         for n in range(1, 5):
-            assert rep.h_act_full(n, omega_embed(s)).is_zero()
+            assert rep.h_act_full(n, s).is_zero()
 
 
 def test_omega_serialization_round_trip():
-    s = omega_basis(wedge.WedgeBasis((-3,), (5,)), -2, Fraction(-1, 4))
-    assert rep.state_from_json(rep.state_to_json(s), OmegaState) == s
-    assert "fock" not in rep.state_to_json(s)["terms"][0]
-
-
-def test_omega_state_refuses_fock_factor():
-    term = rep.state_to_json(omega_basis())["terms"][0]
-    empty = {"terms": [{**term, "fock": []}]}
-    assert rep.state_from_json(empty, OmegaState) == omega_basis()
-    with pytest.raises(ValueError, match="term 0 .* Fock factor"):
-        rep.state_from_json({"terms": [{**term, "fock": [2]}]}, OmegaState)
+    s = basis_state((), wedge.WedgeBasis((-3,), (5,)), -2, Fraction(-1, 4))
+    assert rep.state_from_json(rep.state_to_json(s)) == s
+    assert rep.state_to_json(s)["terms"][0]["fock"] == []
