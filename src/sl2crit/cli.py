@@ -51,7 +51,7 @@ ACT_SIZE_LIMIT = 20
 # Largest value of each window field, from the config or the command line:
 # the largest that an acceptance window, a SUITE_DEFAULTS value or the
 # documented `verify zalg --mode-bound 4` uses.  With every field at its
-# cap, `verify current` takes about 4 min and 1.4 GB; every other command
+# cap, `verify current` takes about 40 s and 430 MB; every other command
 # under 10 s and 41 MB.
 MODE_BOUND_LIMIT = 6
 MAX_TWICE_DEG_LIMIT = 12

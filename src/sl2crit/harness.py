@@ -138,14 +138,17 @@ def _basis_label(key):
 
 
 def _sector_windows(spec):
-    """(window, id, key) for the keys of state_basis on spec, sector by
+    """(window, key) for the keys of state_basis on spec, sector by
     sector.  Every operator conserves the sector rep.sector(key), so each
-    sector gets its own rep.Window, dropped when the next one opens."""
+    sector gets its own rep.Window, dropped when the next one opens.  The
+    Fock word rows do not depend on the sector: the windows share one
+    table of them, made here and dropped with the generator."""
     basis = sorted(state_basis(spec.max_twice_deg, spec.charge_bound),
                    key=rep.sector)
+    rows = {}
     for _, keys in groupby(basis, key=rep.sector):
-        win = rep.Window()
-        yield from ((win, win.intern(key), key) for key in keys)
+        win = rep.Window(rows)
+        yield from ((win, key) for key in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +215,23 @@ def verify_clifford(spec):
 def verify_current_relations(spec):
     """Loop-algebra brackets of the realized fields, componentwise.
 
-    The fields are compiled in one rep.Window per sector
-    (_sector_windows).  Each bracket is one integer sum of operator words
-    on a key over a common denominator, and it passes when that sum is
-    zero; a nonzero one is recorded as the same State residual.
+    Each bracket is one integer sum of operator words on a key, taken
+    factor by factor in the rep.Window of its sector (_sector_windows),
+    and it passes when that sum is zero; a nonzero one is recorded as the
+    same State residual.
     """
     report = Report("current", {"mode_bound": spec.mode_bound,
                                 "max_twice_deg": spec.max_twice_deg,
                                 "charge_bound": spec.charge_bound})
     M = spec.mode_bound
     fields = [("bracket_H_X", "X", 1), ("bracket_H_Y", "Y", -1)]
-    for win, i, key in _sector_windows(spec):
+    for win, key in _sector_windows(spec):
         label = _basis_label(key)
         for m in range(-M, M + 1):
             for n in range(-M, M + 1):
                 # [H(m), F(n)] = +-2 F(m+n) for the charge +-1 fields.
                 for identity, f, charge in fields:
-                    res = win.residual(i, (1, (("H", m), (f, n))),
+                    res = win.residual(key, (1, (("H", m), (f, n))),
                                        (-1, ((f, n), ("H", m))),
                                        (-2 * charge, ((f, m + n),)))
                     report.check(identity, [m, n], label, res)
@@ -238,14 +241,14 @@ def verify_current_relations(spec):
                 if m + n == 0:
                     xy.append((2 * m, ()))
                 report.check("bracket_X_Y", [m, n], label,
-                             win.residual(i, *xy))
+                             win.residual(key, *xy))
                 if m and n:
                     hh = [(1, (("H", m), ("H", n))),
                           (-1, (("H", n), ("H", m)))]
                     if m + n == 0:
                         hh.append((4 * m, ()))
                     report.check("bracket_H_H", [m, n], label,
-                                 win.residual(i, *hh))
+                                 win.residual(key, *hh))
     return report.finalize()
 
 
@@ -496,17 +499,18 @@ def character_csv(table, kind="V"):
 
 def d_homogeneity_probe(spec):
     """Residuals of [d, F(m)] - m F(m), F = X, Y, H, per charge, each one
-    word sum in the window of its sector (_sector_windows).
+    word sum in the window of its sector (_sector_windows), where the d
+    letter reads the Fock degree that the word's paths carry.
     Informational: the report always passes; the residual statistics are
     the payload."""
     report = Report("probe-d", {"mode_bound": spec.mode_bound,
                                 "max_twice_deg": spec.max_twice_deg,
                                 "charge_bound": spec.charge_bound})
     stats = {}
-    for win, i, key in _sector_windows(spec):
+    for win, key in _sector_windows(spec):
         for m in range(-spec.mode_bound, spec.mode_bound + 1):
             for name in "XYH":
-                res = win.residual(i, (1, (("d", 0), (name, m))),
+                res = win.residual(key, (1, (("d", 0), (name, m))),
                                    (-1, ((name, m), ("d", 0))),
                                    (-m, ((name, m),)))
                 entry = stats.setdefault((name, key[2]), [0, 0])

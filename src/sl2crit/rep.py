@@ -18,9 +18,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 
 from . import fock, wedge
-from .linear import LinearCombination, combine
+from .linear import LinearCombination
 
 
 class State(LinearCombination):
@@ -95,9 +96,17 @@ def _reach(sign, w, p):
     return (max(wedge.own_modes(step, w), default=-3) + 1) // 2 + step * p
 
 
-def _field_basis(sign, m, fockmono, w, p):
-    """X(m) (sign +1) or Y(m) (sign -1) on a basis triple, as integer
-    numerators over one denominator: (((key, int), ...), den).
+# Every operator on V = Fock ⊗ Ω has one definition, split over the two
+# factors, which KERNELS and Window both read.  Its Ω side, a letter, maps
+# (m, (w, p), deg), deg the degree of the Fock factor, to its paths
+#     (label, (w2, p2), int, den, degree change):
+# the Fock map that label names (_fock_map; None is the identity) times
+# the Ω key (w2, p2) times int/den.  Every Fock map is homogeneous and
+# changes the degree by the path's last entry, so deg is all that a letter
+# needs of the Fock factor.
+
+def _field_letter(sup, m, wp, deg):
+    """X(m) (sup '+') or Y(m) (sup '-'): one path per Z-mode j that acts.
 
     X(z) = E^+_+(z) E^+_-(z) Z^+(z) and Y the same with the '-' signs: the
     Heisenberg exponentials dress the Z-operator, and V = Fock ⊗ Ω.  The
@@ -106,67 +115,93 @@ def _field_basis(sign, m, fockmono, w, p):
     t = 2(j - sign*p) - 1, the mode of Z(j) (_z_basis); then
     k1 - k2 = j - m, so
         X(m) (mono ⊗ ω) = sum_j Γ_{j-m}(mono) ⊗ Z(j) ω,
-    Γ_k the z^k coefficient of the two exponentials
-    (fock._vertex_monomial).  With deg = sum(mono), Γ_k vanishes below
-    k = -deg and Z(j) above _reach, so j runs over m - deg .. _reach.
-    Distinct j flip distinct modes and give distinct wedges, so no key
-    repeats.  Γ_k has denominator fock._e_den(deg + k), so
-    den = fock._e_den(K) for the largest creation power K = deg + j - m
-    that occurs.
+    Γ_k the z^k coefficient of the two exponentials, labelled (sup, k)
+    (fock._vertex_monomial over fock._e_den(deg + k)).  Γ_k vanishes
+    below k = -deg and Z(j) above _reach, so j runs over
+    m - deg .. _reach.  Distinct j flip distinct modes and give distinct
+    wedges, so no Ω key repeats.
     """
-    sup = "+" if sign > 0 else "-"
-    deg = sum(fockmono)
-    key = (w, p)
-    zs = [(j, z) for j in range(_reach(sup, w, p), m - deg - 1, -1)
-          if (z := _z_basis(sup, j, key))]
-    if not zs:
-        return (), 1
-    den = fock._e_den(deg + zs[0][0] - m)
     out = []
-    for j, ((w2, p2), cz) in zs:
-        lift = cz * (den // fock._e_den(deg + j - m))
-        out += [((mono2, w2, p2), lift * c)
-                for mono2, c in fock._vertex_monomial(sup, j - m, fockmono)]
-    return out, den
+    for j in range(_reach(sup, *wp), m - deg - 1, -1):
+        z = _z_basis(sup, j, wp)
+        if z:
+            out.append(((sup, j - m), z[0], z[1], 1, j - m))
+    return out
 
 
-def _h_terms(n, fockmono, w, p):
-    """H(n) on a basis triple: ((key, nonzero int), ...).  The coefficient
-    is 1 for n < 0, -4nk for n > 0 and 2p for n = 0."""
-    if n == 0:
-        return (((fockmono, w, p), alpha0_eig(p)),) if p else ()
-    return tuple(((mono, w, p), c)
-                 for mono, c in fock._h_act_monomial(n, fockmono))
+def _h_letter(n, wp, deg):
+    """H(n): the Fock mode, labelled ("H", n), for n != 0; the scalar
+    alpha0_eig(p) for n = 0."""
+    if n:
+        return ((("H", n), wp, 1, 1, -n),)
+    p = wp[1]
+    return ((None, wp, alpha0_eig(p), 1, 0),) if p else ()
 
 
-def _z_terms(sign, m, key):
-    """Z^sign(m) on the (w, p) end of a State key."""
-    term = _z_basis(sign, m, key[1:])
-    return (((key[0],) + term[0], term[1]),) if term else (), 1
+def _z_letter(sign, m, wp, deg):
+    """Z^sign(m): the oscillator flip _z_basis on Ω alone."""
+    z = _z_basis(sign, m, wp)
+    return ((None, z[0], z[1], 1, 0),) if z else ()
 
 
-def term_d_eig(fockmono, w, p):
-    """d-eigenvalue of a basis triple: -(Fock degree) - (wedge degree)
-    - p^2/2."""
-    return Fraction(-sum(fockmono)) - w.degree() + lattice_d_eig(p)
+def _d_letter(m, wp, deg):
+    """d, ignoring m: twice its eigenvalue -deg - (wedge degree) - p^2/2,
+    over 2; () at 0."""
+    w, p = wp
+    c = int(2 * (lattice_d_eig(p) - deg - w.degree()))
+    return ((None, wp, c, 2, 0),) if c else ()
 
 
-def _d_terms(key):
-    """d on a basis triple, as twice its eigenvalue over 2; () at 0."""
-    c = int(2 * term_d_eig(*key))
-    return ((key, c),) if c else (), 2
+# Operator name -> letter.  KERNELS and Window look a letter up here when
+# they call it, so a patched entry acts in both.
+LETTERS = {"X": partial(_field_letter, "+"), "Y": partial(_field_letter, "-"),
+           "H": _h_letter, "Z+": partial(_z_letter, "+"),
+           "Z-": partial(_z_letter, "-"), "d": _d_letter}
+
+
+def _fock_map(label, mono, deg):
+    """The Fock map of a label on a monomial of degree deg:
+    (((mono2, int), ...), den), H(n) over 1 or the vertex row Γ_k of sup
+    over fock._e_den(deg + k)."""
+    kind, n = label
+    if kind == "H":
+        return fock._h_act_monomial(n, mono), 1
+    return fock._vertex_monomial(kind, n, mono), fock._e_den(deg + n)
+
+
+def _kernel(op, m, key):
+    """op(m) on a basis triple, (((key2, int), ...), den): the one-letter
+    word of LETTERS, each path lifted to the lcm of their denominators."""
+    mono, w, p = key
+    deg = sum(mono)
+    paths = []
+    lift = 1
+    for label, wp, c, den, _ in LETTERS[op](m, (w, p), deg):
+        if label:
+            pairs, d = _fock_map(label, mono, deg)
+            if not pairs:
+                continue
+            den *= d
+        else:
+            pairs = ((mono, 1),)
+        paths.append((pairs, wp, c, den))
+        lift = lcm(lift, den)
+    out = []
+    for pairs, (w2, p2), c, den in paths:
+        c *= lift // den
+        out += [((mono2, w2, p2), c * x) for mono2, x in pairs]
+    return out, lift
+
+
+def _field_basis(sign, m, fockmono, w, p):
+    """X(m) (sign +1) or Y(m) (sign -1) on a basis triple: its kernel, over
+    fock._e_den(K) for the largest creation power K = deg + j - m."""
+    return _kernel("X" if sign > 0 else "Y", m, (fockmono, w, p))
 
 
 # Operator name -> integer kernel (m, key) -> (((key2, int), ...), den), d
-# ignoring m.  Each entry looks its function up when called, so patches act.
-KERNELS = {
-    "X": lambda m, key: _field_basis(1, m, *key),
-    "Y": lambda m, key: _field_basis(-1, m, *key),
-    "H": lambda m, key: (_h_terms(m, *key), 1),
-    "Z+": lambda m, key: _z_terms("+", m, key),
-    "Z-": lambda m, key: _z_terms("-", m, key),
-    "d": lambda m, key: _d_terms(key),
-}
+# ignoring m: the one-letter words of LETTERS.
+KERNELS = {op: partial(_kernel, op) for op in LETTERS}
 
 
 def act(op, m, s):
@@ -183,64 +218,88 @@ d_act = partial(act, "d", 0)
 
 def sector(key):
     """The sector c = p - charge(w) of a basis triple, which every operator
-    in KERNELS conserves: X, Y and Z± move p and charge(w) together."""
+    in LETTERS conserves: X, Y and Z± move p and charge(w) together."""
     return key[2] - key[1].charge
 
 
 class Window:
-    """The operators of KERNELS compiled for one sector, fraction-free.
+    """Words of LETTERS on the keys of one sector, factor by factor.
 
-    Basis keys are interned to int ids on first use, and the column of an
-    operator on an id is built once from its kernel, as int numerators
-    over one column denominator.  Every operator conserves the sector, so
-    a window opened for one sector only ever interns keys of it.  The
-    columns live as long as the window.
+    A word is expanded over Ω first, by letters cached per
+    (op, m, (w, p), deg) for the life of the window; every operator
+    conserves the sector, so these only meet Ω keys of it.  Each path then
+    reads one Fock word row from `rows`, a table that does not depend on
+    the sector and that the windows of one suite call share.
     """
 
-    def __init__(self):
-        self.keys = []
-        self._ids = {}
-        self._columns = {}
+    def __init__(self, rows):
+        self.rows = rows
+        self._letters = {}
 
-    def intern(self, key):
-        """The int id of a key."""
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self.keys)
-            self.keys.append(key)
-        return i
+    def _letter(self, op, m, wp, deg):
+        """The paths of LETTERS[op] at (m, wp, deg)."""
+        paths = self._letters.get((op, m, wp, deg))
+        if paths is None:
+            paths = self._letters[op, m, wp, deg] = tuple(
+                LETTERS[op](m, wp, deg))
+        return paths
 
-    def _column(self, op, m, i):
-        """op(m) on id i, op a name in KERNELS: (((id, int), ...), den)."""
-        col = self._columns.get((op, m, i))
-        if col is None:
-            terms, den = KERNELS[op](m, self.keys[i])
-            col = self._columns[op, m, i] = (
-                tuple((self.intern(k), c) for k, c in terms), den)
-        return col
+    def _row(self, labels, mono):
+        """The Fock maps of labels, innermost first, composed on mono:
+        (((mono2, int), ...), den).  Every map is homogeneous, so one den
+        serves each step: a nonempty row's den is the product of theirs."""
+        if not labels:
+            return ((mono, 1),), 1
+        row = self.rows.get((labels, mono))
+        if row is None:
+            inner, den = self._row(labels[:-1], mono)
+            out = {}
+            d = 1
+            for mono2, c in inner:
+                pairs, d = _fock_map(labels[-1], mono2, sum(mono2))
+                for mono3, c3 in pairs:
+                    out[mono3] = out.get(mono3, 0) + c * c3
+            row = self.rows[labels, mono] = (
+                tuple((k, c) for k, c in out.items() if c), den * d)
+        return row
 
-    def residual(self, i, *terms):
-        """The sum of scalar * word(key i) over (int, word) terms, a word
+    def residual(self, key, *terms):
+        """The sum of scalar * word(key) over (int, word) terms, a word
         being a tuple of (op, m), outermost first; () is the identity.
 
-        Each word is expanded into scaled columns, the innermost used as
-        built, and all of them go into one integer `combine` over the lcm
-        of their denominators.  The result is a State, which is zero
-        exactly when that integer vector is."""
+        Each path of a word, (labels, Ω key, degree, int, den), gets the
+        Fock row of its labels, and the rows are summed per Ω key in ints
+        over the lcm of all the denominators.  The result is a State,
+        which is zero exactly when those integer vectors are."""
+        mono, w, p = key
+        rows = self.rows
+        start = [((), (w, p), sum(mono), 1, 1)]
         parts = []
         for a, word in terms:
-            vec = [(a, (((i, 1),), 1))]
+            vec = start
             for op, m in reversed(word):
-                outer = []
-                for b, (ids, d) in vec:
-                    for j, c in ids:
-                        pairs, den = self._column(op, m, j)
-                        outer.append((b * c, (pairs, den * d)))
-                vec = outer
-            parts += vec
-        out, lift = combine(parts)
-        return State({self.keys[j]: Fraction(c, lift)
-                      for j, c in out.items()})
+                vec = [(labels + (label,) if label else labels, wp2,
+                        deg + step, s * c, d * den)
+                       for labels, wp, deg, s, d in vec
+                       for label, wp2, c, den, step
+                       in self._letter(op, m, wp, deg)]
+            for labels, wp, _, s, d in vec:
+                pairs, den = (rows.get((labels, mono))
+                              or self._row(labels, mono))
+                if pairs:
+                    parts.append((wp, pairs, a * s, d * den))
+        lift = lcm(*[d for *_, d in parts])
+        sums = {}
+        for wp, pairs, s, d in parts:
+            out = sums.get(wp)
+            if out is None:
+                out = sums[wp] = {}
+            s *= lift // d
+            for mono2, c in pairs:
+                out[mono2] = out.get(mono2, 0) + s * c
+        return State({(mono2,) + wp: Fraction(c, lift)
+                      for wp, out in sums.items()
+                      for mono2, c in out.items() if c})
 
 
 def c_act(s):

@@ -8,6 +8,7 @@ harness CONVENTION_NOTES) as the fixed ground truth for signs and for
 the graded-dimension product index.
 """
 
+import hashlib
 import json
 
 from sl2crit import harness, rep, wedge, zalg
@@ -34,6 +35,12 @@ def test_criterion_2_current_algebra():
     announce(2, "current-algebra brackets", report.passed,
              f"{report.checks_run} checks")
     assert report.passed, report.failures[:3]
+    # The count and the report bytes are pinned too, so a change that
+    # drops checks cannot pass.
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    assert report.checks_run == 89644
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d46442386f81d23c159c80011f604352abfed8ba8bfbe16051b6083c3071836d")
 
 
 def test_criterion_3_highest_weight_vectors():

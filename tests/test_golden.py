@@ -163,15 +163,17 @@ def _inject_omega(mp):
 
 
 def _inject_current(mp):
-    orig = rep._h_terms
+    # 1/3 H(-1) added to the H letter at n = 1 on charge 1: one more path,
+    # with label ("H", -1), scalar 1/3 and degree change +1.
+    orig = rep.LETTERS["H"]
 
-    def h_terms(n, mono, w, p):
-        out = orig(n, mono, w, p)
-        if n == 1 and p == 1:
-            out += (((mono + (1,), w, p), Fraction(1, 3)),)
+    def h_letter(n, wp, deg):
+        out = orig(n, wp, deg)
+        if n == 1 and wp[1] == 1:
+            out += ((("H", -1), wp, 1, 3, 1),)
         return out
 
-    mp.setattr(rep, "_h_terms", h_terms)
+    mp.setitem(rep.LETTERS, "H", h_letter)
     return harness.verify_current_relations(
         CheckSpec(mode_bound=1, max_twice_deg=4, charge_bound=1))
 

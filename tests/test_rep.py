@@ -251,55 +251,62 @@ class TestCompiledWindow:
            "Z-": lambda m, s: zalg.z_act_full("-", m, s),
            "d": lambda m, s: d_act(s)}
 
-    def test_columns_match_fraction_fields(self):
-        # Every column built for window (4, 1) with modes -2..2, for every
-        # operator of rep.KERNELS, on the basis and on the images under one
-        # more operator, equals the State action on its key; one- and
-        # two-op words equal the State path.
-        assert set(self.ACT) == set(rep.KERNELS)
-        win = rep.Window()
-        words = 0
+    def test_words_match_fraction_fields(self):
+        # On state_basis(4, 1) with modes -2..2, for every operator of
+        # rep.LETTERS: one- and two-letter words, and three-letter words
+        # that end in X, Y or H, equal the composed State path.
+        assert set(self.ACT) == set(rep.LETTERS) == set(rep.KERNELS)
+        win = rep.Window({})
+        words = triples = 0
         for key in state_basis(4, 1):
-            i = win.intern(key)
-            assert win.residual(i, (1, ())) == State.basis(key)
-            for a in rep.KERNELS:
+            assert win.residual(key, (1, ())) == State.basis(key)
+            for a in rep.LETTERS:
                 for m in range(-2, 3):
                     image = self.ACT[a](m, State.basis(key))
-                    assert win.residual(i, (1, ((a, m),))) == image
-                    for b in rep.KERNELS:
-                        got = win.residual(i, (1, ((b, -m), (a, m))))
-                        assert got == self.ACT[b](-m, image), (key, a, m, b)
-                    words += 1 + len(rep.KERNELS)
-        assert words == 3990
-        assert len(win._columns) > 1000
-        for (op, m, i), (col, den) in win._columns.items():
-            assert type(den) is int and all(type(c) is int for _, c in col)
-            got = {win.keys[j]: Fraction(c, den) for j, c in col}
-            assert got == self.ACT[op](m, State.basis(win.keys[i])).terms
+                    assert win.residual(key, (1, ((a, m),))) == image
+                    for b in rep.LETTERS:
+                        image2 = self.ACT[b](-m, image)
+                        got = win.residual(key, (1, ((b, -m), (a, m))))
+                        assert got == image2, (key, a, m, b)
+                        for c in "XYH":
+                            got = win.residual(
+                                key, (3, ((c, 1), (b, -m), (a, m))))
+                            want = self.ACT[c](1, image2).scale(3)
+                            assert got == want, (key, a, m, b, c)
+                            triples += 1
+                    words += 1 + len(rep.LETTERS)
+        assert words == 3990 and triples == 10260
+        assert len(win.rows) > 1000
 
     def test_residual_is_zero_exactly_when_the_vector_is(self):
-        win = rep.Window()
-        i = win.intern(((), wedge.VACUUM, 0))
+        win = rep.Window({})
+        key = ((), wedge.VACUUM, 0)
         # X(-3) v0 has coefficients -1/4 and 1/2 and charge 1, so H(0)
         # acts on it by 2.
         x3 = (("X", -3),)
         hx3 = (("H", 0), ("X", -3))
         assert any(c.denominator > 1 for _, c in x_act(-3, v0()))
-        assert not win.residual(i, (1, hx3), (-2, x3))
-        assert win.residual(i, (1, hx3), (-1, x3)) == x_act(-3, v0())
-        assert not win.residual(i, (2, ()), (-2, ()))
-        assert win.residual(i, (1, ()), (1, ())) == v0().scale(2)
+        assert not win.residual(key, (1, hx3), (-2, x3))
+        assert win.residual(key, (1, hx3), (-1, x3)) == x_act(-3, v0())
+        assert not win.residual(key, (2, ()), (-2, ()))
+        assert win.residual(key, (1, ()), (1, ())) == v0().scale(2)
 
 
 def _recorded_windows(spec):
     """Every rep.Window that verify_current_relations opens on spec, in
-    order, kept alive after the run."""
+    order, kept alive after the run with the keys that it was asked
+    about."""
     opened = []
 
     class Recording(rep.Window):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, rows):
+            super().__init__(rows)
+            self.keys = set()
             opened.append(self)
+
+        def residual(self, key, *terms):
+            self.keys.add(key)
+            return super().residual(key, *terms)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rep, "Window", Recording)
@@ -329,14 +336,16 @@ class TestSectors:
                     terms[name] += len(image)
         assert sum(terms.values()) > 3000 and min(terms.values()) > 100
 
-    def test_window_columns_stay_in_their_sector(self, windows):
-        columns = 0
+    def test_omega_paths_stay_in_their_sector(self, windows):
+        paths = 0
         for win in windows:
-            for (_, _, i), (col, _) in win._columns.items():
-                c = rep.sector(win.keys[i])
-                assert all(rep.sector(win.keys[j]) == c for j, _ in col)
-                columns += 1
-        assert columns > 10000
+            (c,) = {rep.sector(key) for key in win.keys}
+            for (_, _, wp, _), out in win._letters.items():
+                assert rep.sector(((),) + wp) == c
+                assert all(rep.sector(((),) + wp2) == c
+                           for _, wp2, *_ in out)
+                paths += len(out)
+        assert paths > 5000
 
     def test_one_window_per_sector(self, windows):
         spec = self.SPEC
@@ -346,6 +355,38 @@ class TestSectors:
         seen = [{rep.sector(key) for key in win.keys} for win in windows]
         assert all(len(s) == 1 for s in seen)
         assert set().union(*seen) == sectors
+
+    def test_fock_rows_are_homogeneous(self, windows):
+        # One table for the call, shared by its windows; each row is
+        # homogeneous, and a nonempty one has the product of its labels'
+        # dens: e_den(deg + k) for a vertex row Γ_k, 1 for H(n).
+        (rows,) = {id(win.rows): win.rows for win in windows}.values()
+        assert len(rows) > 1000
+        for (labels, mono), (pairs, den) in rows.items():
+            deg, want = sum(mono), 1
+            for kind, n in labels:
+                if kind == "H":
+                    deg -= n
+                else:
+                    want, deg = want * fock._e_den(deg + n), deg + n
+            assert {sum(mono2) for mono2, _ in pairs} <= {deg}
+            assert all(type(c) is int and c for _, c in pairs)
+            assert not pairs or den == want, (labels, mono)
+
+
+def test_fock_rows_live_for_one_call():
+    # A second call under a doubled vertex row sees the patch: [X, Y]
+    # becomes 4 H, and the brackets with H stay linear in X and Y.
+    spec = CheckSpec(mode_bound=1, max_twice_deg=4, charge_bound=1)
+    assert verify_current_relations(spec).passed
+    orig = fock._vertex_monomial
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "_vertex_monomial", lambda sup, k, mono: tuple(
+            (mono2, 2 * c) for mono2, c in orig(sup, k, mono)))
+        report = verify_current_relations(spec)
+    assert report.failures
+    assert {f["identity"] for f in report.failures} == {"bracket_X_Y"}
+    assert verify_current_relations(spec).passed
 
 
 def _cached_functions():
