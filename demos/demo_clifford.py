@@ -13,14 +13,12 @@ from sl2crit.harness import wedge_bases_up_to
 
 def main():
     print("vacuum word:", wedge.serialize_basis(wedge.VACUUM))
-    for t in (-3, -5, 3):
-        out = wedge.a_act(t, wedge.VACUUM)
-        print(f"A({t}/2) vacuum ->",
-              [(wedge.serialize_basis(w), str(c)) for w, c in out])
-    for t in (-3, -5, 3):
-        out = wedge.astar_act(t, wedge.VACUUM)
-        print(f"A*({t}/2) vacuum ->",
-              [(wedge.serialize_basis(w), str(c)) for w, c in out])
+    vac = wedge.WedgeElement.basis(wedge.VACUUM)
+    for kind in ("A", "A*"):
+        for t in (-3, -5, 3):
+            out = wedge.apply_mode(kind, t, vac)
+            print(f"{kind}({t}/2) vacuum ->",
+                  [(wedge.serialize_basis(w), str(c)) for w, c in out])
     print()
 
     checks = 0
@@ -29,8 +27,10 @@ def main():
         for tm in range(-7, 8, 2):
             for tn in range(-7, 8, 2):
                 # Modes are passed doubled: tm = 2m, tn = 2n.
-                lhs = (wedge.apply_mode("A", tm, wedge.astar_act(tn, w))
-                       + wedge.apply_mode("A*", tn, wedge.a_act(tm, w)))
+                lhs = (wedge.apply_mode("A", tm,
+                                        wedge.apply_mode("A*", tn, v))
+                       + wedge.apply_mode("A*", tn,
+                                          wedge.apply_mode("A", tm, v)))
                 want = v.scale(-(Fraction(tm, 2) ** 2 - Fraction(1, 4))) \
                     if tm + tn == 0 else wedge.WedgeElement.zero()
                 assert lhs == want, (tm, tn, w)

@@ -16,7 +16,7 @@ def show(name, v):
     print(f"  weight (h0, h1, d) = ({w.h0}, {w.h1}, {w.d})")
     for g in GENERATORS:
         out = rep.chevalley_act(g, v)
-        if out.is_zero():
+        if not out:
             print(f"  {g}.{name} = 0")
         else:
             print(f"  {g}.{name} = {rep.state_to_json(out)}")

@@ -9,22 +9,21 @@ identity can be verified with zero tolerance on explicit bases.
 """
 
 from .fock import FockElement, ONE, e_coeff, h_act, monomial
-from .wedge import VACUUM, WedgeBasis, WedgeElement, a_act, astar_act
-from .rep import (NotAWeightVector, State, WeightTriple, alpha0_eig,
-                  basis_state, c_act, chevalley_act, d_act, h_act_full,
-                  lattice_d_eig, v0, v1, weight_of, x_act, y_act)
-from .zalg import gen_commutator, z_act_full, zop_via_definition
+from .wedge import VACUUM, WedgeBasis, WedgeElement, apply_mode
+from .rep import (NotAWeightVector, State, WeightTriple, act, alpha0_eig,
+                  basis_state, c_act, chevalley_act, lattice_d_eig, v0, v1,
+                  weight_of)
+from .zalg import gen_commutator, zop_via_definition
 from .harness import CheckSpec, Report, character, d_homogeneity_probe
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FockElement", "ONE", "e_coeff", "h_act", "monomial",
-    "WedgeBasis", "WedgeElement", "VACUUM", "a_act", "astar_act",
+    "WedgeBasis", "WedgeElement", "VACUUM", "apply_mode",
     "alpha0_eig", "lattice_d_eig",
     "State", "WeightTriple", "NotAWeightVector", "basis_state", "v0", "v1",
-    "x_act", "y_act", "h_act_full", "c_act", "d_act", "chevalley_act",
-    "weight_of",
-    "gen_commutator", "zop_via_definition", "z_act_full",
+    "act", "c_act", "chevalley_act", "weight_of",
+    "gen_commutator", "zop_via_definition",
     "CheckSpec", "Report", "character", "d_homogeneity_probe",
 ]

@@ -27,12 +27,12 @@ SUITE_DEFAULTS = {
     "probe-d": {"mode_bound": 2, "max_twice_deg": 6, "charge_bound": 2},
 }
 
-# Operator name -> (takes --m, action on (m, state)): every kernel of
-# rep.KERNELS, moded but for d, then c and the Chevalley generators.  The
+# Operator name -> (takes --m, action on (m, state)): every letter of
+# rep.LETTERS, moded but for d, then c and the Chevalley generators.  The
 # actions look the library functions up when called.
 OPS = {
     **{op: (op != "d", lambda m, s, op=op: rep.act(op, m or 0, s))
-       for op in rep.KERNELS},
+       for op in rep.LETTERS},
     "c": (False, lambda m, s: rep.c_act(s)),
     **{g: (False, lambda m, s, g=g: rep.chevalley_act(g, s))
        for g in (*rep.CHEVALLEY, "h0")},

@@ -182,8 +182,8 @@ def verify_clifford(spec):
     """Anticommutators of the wedge oscillators on an exhaustive window.
 
     Each check is one integer sum on its basis wedge of the oscillator
-    kernel wedge._mode_kernel, of which a_act, astar_act and apply_mode
-    are the extensions, and passes when that sum is zero.
+    kernel wedge._mode_kernel, of which wedge.apply_mode is the linear
+    extension, and passes when that sum is zero.
     """
     report = Report("clifford", {"wedge_deg_cap": spec.wedge_deg_cap,
                                  "mode_bound": spec.mode_bound})
@@ -370,11 +370,11 @@ def verify_z_suite(spec):
     ((), w, p).
 
     Each check is one integer sum on its basis key of the kernels
-    zalg._gencom_basis, zalg._zop_basis and rep.KERNELS, looked up when
-    called, and passes when that sum is zero.  gen_commutator,
-    zop_via_definition and z_act_full are the linear extensions of the
-    same kernels, so a nonzero sum is recorded as the State residual that
-    they give.
+    zalg._gencom_basis, zalg._zop_basis and rep._kernel (the closed-form
+    Z± and H), looked up when called, and passes when that sum is zero.
+    gen_commutator, zop_via_definition and rep.act are the linear
+    extensions of the same kernels, so a nonzero sum is recorded as the
+    State residual that they give.
 
     The H_commutes_with_Z family is vacuous on this window: H(n),
     n = 1..3, sends every vacuum-space key to zero, so both sides of
@@ -408,12 +408,12 @@ def verify_z_suite(spec):
             for m in range(-M, M + 1):
                 for sg in "+-":
                     z = zalg._zop_basis(sg, m, key)
-                    closed = rep.KERNELS["Z" + sg](m, key)
+                    closed = rep._kernel("Z" + sg, m, key)
                     report.check("definition_vs_closed_form", [sg, m], label,
                                  _residual(rep.State, [(1, z), (-1, closed)]))
                     zop = partial(zalg._zop_basis, sg, m)
                     for n in range(1, 4):
-                        h = partial(rep.KERNELS["H"], n)
+                        h = partial(rep._kernel, "H", n)
                         report.check("H_commutes_with_Z", [sg, m, n], label,
                                      _residual(rep.State,
                                                _after([(1, z)], h)

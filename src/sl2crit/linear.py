@@ -35,9 +35,6 @@ class LinearCombination:
     def basis(cls, key, coeff=1):
         return cls({key: Fraction(coeff)})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -62,11 +59,7 @@ class LinearCombination:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        get = out.get
-        for key, c in other.terms.items():
-            out[key] = get(key, 0) - c
-        return type(self)(out)
+        return self + -other
 
     def __neg__(self):
         return type(self)({k: -c for k, c in self.terms.items()})

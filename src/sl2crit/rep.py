@@ -97,7 +97,7 @@ def _reach(sign, w, p):
 
 
 # Every operator on V = Fock ⊗ Ω has one definition, split over the two
-# factors, which KERNELS and Window both read.  Its Ω side, a letter, maps
+# factors, which _kernel and Window both read.  Its Ω side, a letter, maps
 # (m, (w, p), deg), deg the degree of the Fock factor, to its paths
 #     (label, (w2, p2), int, den, degree change):
 # the Fock map that label names (_fock_map; None is the identity) times
@@ -139,7 +139,17 @@ def _h_letter(n, wp, deg):
 
 
 def _z_letter(sign, m, wp, deg):
-    """Z^sign(m): the oscillator flip _z_basis on Ω alone."""
+    """Z^sign(m): the oscillator flip _z_basis on Ω alone.
+
+    Z^sign(m) commutes with every H(n), n != 0, because the exponentials
+    that dress the field in its definition cancel its Heisenberg part.
+    And V = Fock ⊗ Ω: the key (mono, w, p) is the product of the creation
+    modes H(-n), n in mono, applied to the Heisenberg vacuum (w, p) in Ω.
+    So Z(m)(mono ⊗ ω) = mono ⊗ Z(m)ω.  zalg.zop_via_definition computes
+    the same map from the definition and X or Y, which are built on
+    _z_basis too, so it checks the Heisenberg dressing, not the
+    oscillator.
+    """
     z = _z_basis(sign, m, wp)
     return ((None, z[0], z[1], 1, 0),) if z else ()
 
@@ -152,7 +162,7 @@ def _d_letter(m, wp, deg):
     return ((None, wp, c, 2, 0),) if c else ()
 
 
-# Operator name -> letter.  KERNELS and Window look a letter up here when
+# Operator name -> letter.  _kernel and Window look a letter up here when
 # they call it, so a patched entry acts in both.
 LETTERS = {"X": partial(_field_letter, "+"), "Y": partial(_field_letter, "-"),
            "H": _h_letter, "Z+": partial(_z_letter, "+"),
@@ -171,7 +181,9 @@ def _fock_map(label, mono, deg):
 
 def _kernel(op, m, key):
     """op(m) on a basis triple, (((key2, int), ...), den): the one-letter
-    word of LETTERS, each path lifted to the lcm of their denominators."""
+    word of LETTERS, each path lifted to the lcm of their denominators.
+    X and Y come over fock._e_den(K), K = deg + j - m the largest creation
+    power of their paths."""
     mono, w, p = key
     deg = sum(mono)
     paths = []
@@ -193,27 +205,12 @@ def _kernel(op, m, key):
     return out, lift
 
 
-def _field_basis(sign, m, fockmono, w, p):
-    """X(m) (sign +1) or Y(m) (sign -1) on a basis triple: its kernel, over
-    fock._e_den(K) for the largest creation power K = deg + j - m."""
-    return _kernel("X" if sign > 0 else "Y", m, (fockmono, w, p))
-
-
-# Operator name -> integer kernel (m, key) -> (((key2, int), ...), den), d
-# ignoring m: the one-letter words of LETTERS.
-KERNELS = {op: partial(_kernel, op) for op in LETTERS}
-
-
 def act(op, m, s):
-    """op(m) on a state: the linear extension of KERNELS[op]."""
-    return s.map_basis(partial(KERNELS[op], m))
-
-
-# The fields under their public names; d_act(s) takes no mode.
-x_act = partial(act, "X")
-y_act = partial(act, "Y")
-h_act_full = partial(act, "H")
-d_act = partial(act, "d", 0)
+    """op(m) on a state, d ignoring m: the linear extension of _kernel.
+    An op that is not in LETTERS is refused before s is read."""
+    if op not in LETTERS:
+        raise ValueError(f"unknown operator {op!r}")
+    return s.map_basis(partial(_kernel, op, m))
 
 
 def sector(key):
@@ -334,7 +331,7 @@ def weight_of(s):
         raise NotAWeightVector("zero state has no weight")
     return WeightTriple(_eigenvalue(partial(chevalley_act, "h0"), s),
                         _eigenvalue(partial(chevalley_act, "h1"), s),
-                        _eigenvalue(d_act, s))
+                        _eigenvalue(partial(act, "d", 0), s))
 
 
 def key_to_json(key):

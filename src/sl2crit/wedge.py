@@ -126,18 +126,6 @@ def _mode_kernel(sign, t, w):
     return ((term,) if term else ()), 1
 
 
-def a_act(t, w):
-    """Oscillator A(m), m = t/2: (m - 1/2) u_m ^ w, reordered into canonical
-    form."""
-    return WedgeElement(dict(_mode_kernel(1, t, w)[0]))
-
-
-def astar_act(t, w):
-    """Oscillator A*(m), m = t/2: (m - 1/2) times removal of the factor
-    u_{-m}."""
-    return WedgeElement(dict(_mode_kernel(-1, t, w)[0]))
-
-
 def apply_mode(kind, t, elem):
     """A(m) ("A") or A*(m) ("A*") on a WedgeElement: the linear extension
     of _mode_kernel."""

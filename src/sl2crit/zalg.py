@@ -5,7 +5,8 @@ Z-operator acts on the Ω factor alone: on a key (mono, w, p) each moded
 Z-operator reduces to a single oscillator mode per charge sector on
 (w, p), because the lattice z-power contributes a pure monomial, and mono
 is carried over.  The basis-level mode _z_basis, its bound _reach and the
-Z kernel live in rep, whose X and Y are the same modes dressed by the
+Z letters live in rep, which applies them as rep.act("Z+", m, s) and
+rep.act("Z-", m, s); its X and Y are the same modes dressed by the
 Heisenberg exponentials, so one cache serves X, Y and Z±.  The series
 definition on the full module (X or Y dressed by the inverse
 exponentials, zop_via_definition) is kept as a check that those
@@ -20,26 +21,6 @@ from functools import partial
 from . import fock, rep
 from .linear import combine
 from .rep import _reach
-
-
-def z_act_full(sign, m, s):
-    """Component m of Z^sign on a State: the linear extension of its
-    kernel rep.KERNELS["Z" + sign], which reads the basis-level mode
-    rep._z_basis on the (w, p) end of a key.
-
-    On the vacuum space this is the closed form.  On the full module it is
-    the Heisenberg factorization: Z^sign(m) commutes with every H(n),
-    n != 0, because the exponentials that dress the field in its
-    definition cancel its Heisenberg part.  And V = Fock ⊗ Ω: the key
-    (mono, w, p) is the product of the creation modes H(-n), n in mono,
-    applied to the Heisenberg vacuum (w, p) in Ω.  So
-    Z(m)(mono ⊗ ω) = mono ⊗ Z(m)ω.  zop_via_definition computes the same
-    map from the definition and X or Y, which are built on _z_basis too,
-    so it checks the Heisenberg dressing, not the oscillator.
-    """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    return rep.act("Z" + sign, m, s)
 
 
 def _pair_term(s1, s2, j1, j2, key):
@@ -102,19 +83,18 @@ def _zop_basis(sgn, m, key):
     and the creation coefficient at z^a gives ints over fock._e_den(a).
     Field components above sum(mono1) + _reach(sgn, w, p) vanish on
     (mono1, w, p): every oscillator mode that acts there would need a
-    negative creation power in the z-balance of rep._field_basis, as
+    negative creation power in the z-balance of the X or Y letter, as
     Z^sgn does above _reach.  The sum over (b, mono1, a) is taken in ints
     over the lcm of the denominators (linear.combine).
     """
-    sup = "-" if sgn == "+" else "+"
-    sign = 1 if sgn == "+" else -1
+    sup, field = ("-", "X") if sgn == "+" else ("+", "Y")
     mono, w, p = key
     parts = []
     for b in range(sum(mono) + 1):
         for mono1, c1 in fock._e_coeff_monomial(sup, "-", -b, mono):
             cap = sum(mono1) + _reach(sgn, w, p)
             for a in range(cap - m + b + 1):
-                terms, den = rep._field_basis(sign, m + a - b, mono1, w, p)
+                terms, den = rep._kernel(field, m + a - b, (mono1, w, p))
                 if not terms:
                     continue
                 image = [((mono3, w2, p2), c2 * c3)

@@ -117,7 +117,7 @@ class TestAct:
                            "--state", path)
         assert code == 0 and time.monotonic() - start < 5
         got = rep.state_from_json(json.loads(out))
-        want = zalg.z_act_full("+", -10, rep.v0())
+        want = rep.act("Z+", -10, rep.v0())
         assert got == rep.State({((1,) * 10,) + k[1:]: c for k, c in want})
 
     def test_moded_without_mode(self, capsys, tmp_path):

@@ -80,7 +80,7 @@ def test_probe_d_report_bytes_at_criterion_7_window():
 
 def test_state_codec_bytes():
     s = rep.basis_state((2, 1), wedge.WedgeBasis((-3,), (5,)), 1)
-    data = rep.state_to_json(rep.x_act(-2, s))
+    data = rep.state_to_json(rep.act("X", -2, s))
     assert len(data["terms"]) == 42
     assert digest(data) == (
         "99018adedd3865fbe8aa945f93adb1d6f73f4cf8577a8a320c07d8df4578340e")

@@ -95,7 +95,7 @@ class TestSuitesSmall:
 
 def z_suite_by_public_functions(spec):
     """verify_z_suite written with the public linear maps on one-key
-    states: gen_commutator, zop_via_definition, z_act_full, h_act_full."""
+    states: gen_commutator, zop_via_definition and rep.act of Z± and H."""
     report = harness.Report("zalg", {"mode_bound": spec.mode_bound,
                                      "wedge_deg_cap": spec.wedge_deg_cap,
                                      "charge_bound": spec.charge_bound})
@@ -123,12 +123,12 @@ def z_suite_by_public_functions(spec):
                 for sg in "+-":
                     z = zalg.zop_via_definition(sg, m, s)
                     report.check("definition_vs_closed_form", [sg, m], label,
-                                 z - zalg.z_act_full(sg, m, s))
+                                 z - rep.act("Z" + sg, m, s))
                     for n in range(1, 4):
                         report.check("H_commutes_with_Z", [sg, m, n], label,
-                                     rep.h_act_full(n, z)
+                                     rep.act("H", n, z)
                                      - zalg.zop_via_definition(
-                                         sg, m, rep.h_act_full(n, s)))
+                                         sg, m, rep.act("H", n, s)))
     return report.finalize()
 
 
@@ -185,12 +185,11 @@ class TestZSuiteOnKernels:
 
 
 def clifford_by_public_functions(spec):
-    """verify_clifford written with apply_mode, a_act and astar_act."""
+    """verify_clifford written with apply_mode on one-wedge elements."""
     report = harness.Report("clifford", {"wedge_deg_cap": spec.wedge_deg_cap,
                                          "mode_bound": spec.mode_bound})
     tmax = 2 * spec.mode_bound + 1
     modes = range(-tmax, tmax + 1, 2)
-    acts = {"A": wedge.a_act, "A*": wedge.astar_act}
     for w in harness.wedge_bases_up_to(spec.wedge_deg_cap):
         v = wedge.WedgeElement.basis(w)
         label = harness._basis_label(w)
@@ -203,8 +202,10 @@ def clifford_by_public_functions(spec):
                     pairing = Fraction(1 - m * m, 4) \
                         if a != b and m + n == 0 else 0
                     report.check(identity, [f"{m}/2", f"{n}/2"], label,
-                                 wedge.apply_mode(a, m, acts[b](n, w))
-                                 + wedge.apply_mode(b, n, acts[a](m, w))
+                                 wedge.apply_mode(a, m,
+                                                  wedge.apply_mode(b, n, v))
+                                 + wedge.apply_mode(b, n,
+                                                    wedge.apply_mode(a, m, v))
                                  - v.scale(pairing))
     return report.finalize()
 

@@ -9,7 +9,7 @@ import os
 import re
 import subprocess
 import sys
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import pytest
@@ -42,6 +42,20 @@ def test_exports_resolve_once():
     names = sl2crit.__all__
     assert [name for name in names if not hasattr(sl2crit, name)] == []
     assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
+def test_no_public_name_is_a_partial():
+    # A public partial is a second name for a call that has one already,
+    # such as rep.act with its operator bound.
+    modules = [importlib.import_module(f"sl2crit.{name}")
+               for name in ("rep", "zalg", "wedge", "fock")]
+    names = [(f"sl2crit.{name}", getattr(sl2crit, name))
+             for name in sl2crit.__all__]
+    names += [(f"{module.__name__}.{name}", value)
+              for module in modules for name, value in vars(module).items()
+              if not name.startswith("_")]
+    assert [name for name, value in names if isinstance(value, partial)] \
+        == []
 
 
 def _readme_names():

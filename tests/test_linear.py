@@ -57,14 +57,14 @@ FOCK_KEYS = ((), (2, 1), (1, 1))
 WEDGE_KEYS = (VACUUM, WedgeBasis((-3,), ()), WedgeBasis((), (3,)))
 
 LINEAR_MAPS = [
-    ("x_act", State, STATE_KEYS, lambda s: rep.x_act(-1, s)),
-    ("y_act", State, STATE_KEYS, lambda s: rep.y_act(0, s)),
-    ("h_act_full", State, STATE_KEYS, lambda s: rep.h_act_full(1, s)),
-    ("d_act", State, STATE_KEYS, rep.d_act),
+    ("x_act", State, STATE_KEYS, lambda s: rep.act("X", -1, s)),
+    ("y_act", State, STATE_KEYS, lambda s: rep.act("Y", 0, s)),
+    ("h_act_full", State, STATE_KEYS, lambda s: rep.act("H", 1, s)),
+    ("d_act", State, STATE_KEYS, lambda s: rep.act("d", 0, s)),
     ("z_act_full-state", State, STATE_KEYS,
-     lambda s: zalg.z_act_full("+", -1, s)),
+     lambda s: rep.act("Z+", -1, s)),
     ("z_act_full-omega", State, OMEGA_KEYS,
-     lambda s: zalg.z_act_full("-", -1, s)),
+     lambda s: rep.act("Z-", -1, s)),
     ("zop_via_definition", State, STATE_KEYS,
      lambda s: zalg.zop_via_definition("+", -1, s)),
     # The same-sign commutators vanish identically, so only the

@@ -16,9 +16,9 @@ import sl2crit
 from sl2crit import fock, rep, wedge, zalg
 from sl2crit.fock import FockElement
 from sl2crit.harness import CheckSpec, state_basis, verify_current_relations
-from sl2crit.rep import (NotAWeightVector, State, alpha0_eig, basis_state,
-                         c_act, chevalley_act, d_act, h_act_full,
-                         lattice_d_eig, v0, v1, weight_of, x_act, y_act)
+from sl2crit.rep import (NotAWeightVector, State, act, alpha0_eig,
+                         basis_state, c_act, chevalley_act, lattice_d_eig, v0,
+                         v1, weight_of)
 
 N_TRUNC = 8
 
@@ -72,7 +72,7 @@ def oracle_field(kind, m, key, ncap=N_TRUNC):
     on a basis triple, by direct truncated-series convolution."""
     fm, w, p = key
     sup = "+" if kind == "x" else "-"
-    mode_act = wedge.a_act if kind == "x" else wedge.astar_act
+    mode = "A" if kind == "x" else "A*"
     lat = -p if kind == "x" else p
     dp = 1 if kind == "x" else -1
 
@@ -81,7 +81,7 @@ def oracle_field(kind, m, key, ncap=N_TRUNC):
     for e_ann, felem in ann.items():
         creations = _apply_exp(_exp_entries(sup, "+", ncap), felem, ncap)
         for t in range(-2 * ncap - 1, 2 * ncap + 2, 2):
-            welem = mode_act(t, w)
+            welem = wedge.apply_mode(mode, t, wedge.WedgeElement.basis(w))
             if not welem:
                 continue
             zf = -(t + 1) // 2
@@ -108,8 +108,8 @@ class TestFieldComponentsAgainstOracle:
     def test_x_and_y_match(self, key):
         s = State.basis(key)
         for m in range(-2, 3):
-            assert x_act(m, s) == oracle_field("x", m, key), ("x", m, key)
-            assert y_act(m, s) == oracle_field("y", m, key), ("y", m, key)
+            assert act("X", m, s) == oracle_field("x", m, key), ("x", m, key)
+            assert act("Y", m, s) == oracle_field("y", m, key), ("y", m, key)
 
 
 def direct_field(sign, m, key):
@@ -142,7 +142,7 @@ def test_field_kernel_matches_direct_oscillator_sum(sign):
     nonzero = 0
     for key in state_basis(8, 2):
         for m in range(-3, 4):
-            terms, den = rep._field_basis(sign, m, *key)
+            terms, den = rep._kernel("X" if sign > 0 else "Y", m, key)
             got = {k: Fraction(c, den) for k, c in terms}
             assert len(got) == len(terms) and all(got.values())
             assert got == direct_field(sign, m, key).terms, (sign, m, key)
@@ -156,13 +156,13 @@ class TestGroundTruthVectors:
         assert chevalley_act("f0", v0()) == want
 
     def test_x0_kills_v0(self):
-        assert x_act(0, v0()).is_zero()
+        assert not act("X", 0, v0())
 
     def test_annihilations(self):
         for g in ("e0", "e1", "f1"):
-            assert chevalley_act(g, v0()).is_zero(), g
+            assert not chevalley_act(g, v0()), g
         for g in ("e0", "e1", "f0"):
-            assert chevalley_act(g, v1()).is_zero(), g
+            assert not chevalley_act(g, v1()), g
 
     def test_f1_v1_from_oracle(self):
         # The lowering step out of v1; value fixed by the literal series
@@ -179,20 +179,20 @@ class TestGroundTruthVectors:
 
     def test_h_and_c(self):
         assert chevalley_act("h0", v0()) == v0().scale(-2)
-        assert chevalley_act("h1", v0()).is_zero()
-        assert chevalley_act("h0", v1()).is_zero()
+        assert not chevalley_act("h1", v0())
+        assert not chevalley_act("h0", v1())
         assert chevalley_act("h1", v1()) == v1().scale(-2)
         assert c_act(v0()) == v0().scale(-2)
 
     def test_h_creation_on_vacuum(self):
         want = basis_state((2,), wedge.VACUUM, 0)
-        assert h_act_full(-2, v0()) == want
+        assert act("H", -2, v0()) == want
 
     def test_d_eigenvalues(self):
-        assert d_act(v0()).is_zero()
-        assert d_act(v1()) == v1().scale(Fraction(-1, 2))
+        assert not act("d", 0, v0())
+        assert act("d", 0, v1()) == v1().scale(Fraction(-1, 2))
         s = basis_state((2,), wedge.VACUUM, 0)
-        assert d_act(s) == s.scale(-2)
+        assert act("d", 0, s) == s.scale(-2)
 
 
 class TestWeights:
@@ -221,10 +221,10 @@ class TestStructuralInvariants:
         for key in keys:
             s = State.basis(key)
             rel = key[1].charge - key[2]
-            for op in [lambda t: x_act(1, t), lambda t: x_act(-2, t),
-                       lambda t: y_act(0, t), lambda t: y_act(-1, t),
-                       lambda t: h_act_full(2, t),
-                       lambda t: h_act_full(-1, t)]:
+            for op in [lambda t: act("X", 1, t), lambda t: act("X", -2, t),
+                       lambda t: act("Y", 0, t), lambda t: act("Y", -1, t),
+                       lambda t: act("H", 2, t),
+                       lambda t: act("H", -1, t)]:
                 for (fm2, w2, p2), _ in op(s):
                     assert w2.charge - p2 == rel
 
@@ -236,8 +236,8 @@ class TestStructuralInvariants:
     def test_xy_bracket_with_central_term(self):
         s = basis_state((1,), wedge.WedgeBasis((-3,), ()), -1)
         for m in range(-2, 3):
-            lhs = x_act(m, y_act(-m, s)) - y_act(-m, x_act(m, s))
-            want = h_act_full(0, s) + s.scale(-2 * m)
+            lhs = act("X", m, act("Y", -m, s)) - act("Y", -m, act("X", m, s))
+            want = act("H", 0, s) + s.scale(-2 * m)
             assert lhs == want
 
     def test_h0_rejected_by_fock_layer(self):
@@ -246,32 +246,27 @@ class TestStructuralInvariants:
 
 
 class TestCompiledWindow:
-    ACT = {"X": x_act, "Y": y_act, "H": h_act_full,
-           "Z+": lambda m, s: zalg.z_act_full("+", m, s),
-           "Z-": lambda m, s: zalg.z_act_full("-", m, s),
-           "d": lambda m, s: d_act(s)}
-
     def test_words_match_fraction_fields(self):
         # On state_basis(4, 1) with modes -2..2, for every operator of
         # rep.LETTERS: one- and two-letter words, and three-letter words
         # that end in X, Y or H, equal the composed State path.
-        assert set(self.ACT) == set(rep.LETTERS) == set(rep.KERNELS)
+        assert set(rep.LETTERS) == {"X", "Y", "H", "Z+", "Z-", "d"}
         win = rep.Window({})
         words = triples = 0
         for key in state_basis(4, 1):
             assert win.residual(key, (1, ())) == State.basis(key)
             for a in rep.LETTERS:
                 for m in range(-2, 3):
-                    image = self.ACT[a](m, State.basis(key))
+                    image = act(a, m, State.basis(key))
                     assert win.residual(key, (1, ((a, m),))) == image
                     for b in rep.LETTERS:
-                        image2 = self.ACT[b](-m, image)
+                        image2 = act(b, -m, image)
                         got = win.residual(key, (1, ((b, -m), (a, m))))
                         assert got == image2, (key, a, m, b)
                         for c in "XYH":
                             got = win.residual(
                                 key, (3, ((c, 1), (b, -m), (a, m))))
-                            want = self.ACT[c](1, image2).scale(3)
+                            want = act(c, 1, image2).scale(3)
                             assert got == want, (key, a, m, b, c)
                             triples += 1
                     words += 1 + len(rep.LETTERS)
@@ -285,9 +280,9 @@ class TestCompiledWindow:
         # acts on it by 2.
         x3 = (("X", -3),)
         hx3 = (("H", 0), ("X", -3))
-        assert any(c.denominator > 1 for _, c in x_act(-3, v0()))
+        assert any(c.denominator > 1 for _, c in act("X", -3, v0()))
         assert not win.residual(key, (1, hx3), (-2, x3))
-        assert win.residual(key, (1, hx3), (-1, x3)) == x_act(-3, v0())
+        assert win.residual(key, (1, hx3), (-1, x3)) == act("X", -3, v0())
         assert not win.residual(key, (2, ()), (-2, ()))
         assert win.residual(key, (1, ()), (1, ())) == v0().scale(2)
 
@@ -322,15 +317,12 @@ class TestSectors:
         return _recorded_windows(self.SPEC)
 
     def test_operators_conserve_the_sector(self):
-        ops = {"X": x_act, "Y": y_act, "H": h_act_full,
-               "Z+": lambda m, s: zalg.z_act_full("+", m, s),
-               "Z-": lambda m, s: zalg.z_act_full("-", m, s)}
-        terms = dict.fromkeys(ops, 0)
+        terms = dict.fromkeys(("X", "Y", "H", "Z+", "Z-"), 0)
         for key in state_basis(6, 2):
             s = State.basis(key)
             for m in range(-3, 4):
-                for name, op in ops.items():
-                    image = op(m, s)
+                for name in terms:
+                    image = act(name, m, s)
                     assert {rep.sector(k) for k in image.terms} \
                         <= {rep.sector(key)}, (key, name, m)
                     terms[name] += len(image)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2crit import wedge
-from sl2crit.wedge import VACUUM, WedgeBasis, WedgeElement, a_act, astar_act
+from sl2crit.wedge import VACUUM, WedgeBasis, WedgeElement, apply_mode
 
 TAIL = 41  # doubled cutoff for explicit words; beyond it nothing is touched
 
@@ -84,36 +84,38 @@ class TestDegree:
 
 class TestOscillatorActions:
     def test_a_on_vacuum(self):
-        got = a_act(-3, VACUUM)
+        got = apply_mode("A", -3, WedgeElement.basis(VACUUM))
         assert got == WedgeElement.basis(WedgeBasis((-3,), ()), -2)
 
     def test_a_at_half_vanishes(self):
         for w in small_bases(3):
-            assert a_act(1, w).is_zero()
-            assert astar_act(1, w).is_zero()
+            assert not apply_mode("A", 1, WedgeElement.basis(w))
+            assert not apply_mode("A*", 1, WedgeElement.basis(w))
 
     def test_a_hole_filling_sign(self):
         # Filling the hole at 5/2 walks past -1/2 and 3/2: even sign.
-        got = a_act(5, WedgeBasis((), (5,)))
+        got = apply_mode("A", 5, WedgeElement.basis(WedgeBasis((), (5,))))
         assert got == WedgeElement.basis(VACUUM, 2)
 
     def test_astar_first_factor(self):
-        got = astar_act(3, WedgeBasis((-3,), ()))
+        got = apply_mode("A*", 3, WedgeElement.basis(WedgeBasis((-3,), ())))
         assert got == WedgeElement.basis(VACUUM, 1)
 
     def test_astar_digs_hole(self):
-        got = astar_act(-5, VACUUM)
+        got = apply_mode("A*", -5, WedgeElement.basis(VACUUM))
         assert got == WedgeElement.basis(WedgeBasis((), (5,)), -3)
 
     def test_rejects_integer_mode(self):
         with pytest.raises(ValueError):
-            a_act(2, VACUUM)
+            apply_mode("A", 2, WedgeElement.basis(VACUUM))
 
     def test_against_literal_word_oracle(self):
         for w in small_bases(5):
+            v = WedgeElement.basis(w)
             for t in range(-13, 14, 2):
-                assert a_act(t, w) == oracle_a(t, w), ("A", t, w)
-                assert astar_act(t, w) == oracle_astar(t, w), ("A*", t, w)
+                assert apply_mode("A", t, v) == oracle_a(t, w), ("A", t, w)
+                assert apply_mode("A*", t, v) == oracle_astar(t, w), \
+                    ("A*", t, w)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.integers(min_value=1, max_value=6), max_size=3),
@@ -122,8 +124,9 @@ class TestOscillatorActions:
     def test_oracle_property(self, negdepths, holedepths, t):
         w = WedgeBasis(tuple(sorted(-2 * d - 1 for d in negdepths)),
                        tuple(sorted(2 * d + 1 for d in holedepths)))
-        assert a_act(t, w) == oracle_a(t, w)
-        assert astar_act(t, w) == oracle_astar(t, w)
+        v = WedgeElement.basis(w)
+        assert apply_mode("A", t, v) == oracle_a(t, w)
+        assert apply_mode("A*", t, v) == oracle_astar(t, w)
 
 
 class TestInvariants:
@@ -131,17 +134,19 @@ class TestInvariants:
         # Every output basis vector again satisfies the space constraints
         # (constructor validation would raise otherwise).
         for w in small_bases(4):
+            v = WedgeElement.basis(w)
             for t in range(-9, 10, 2):
-                for elem in (a_act(t, w), astar_act(t, w)):
+                for elem in (apply_mode("A", t, v), apply_mode("A*", t, v)):
                     for w2, _ in elem:
                         assert w2.supports(-1) and not w2.supports(1)
 
     def test_charge_shift(self):
         for w in small_bases(4):
+            v = WedgeElement.basis(w)
             for t in range(-9, 10, 2):
-                for w2, _ in a_act(t, w):
+                for w2, _ in apply_mode("A", t, v):
                     assert w2.charge == w.charge + 1
-                for w2, _ in astar_act(t, w):
+                for w2, _ in apply_mode("A*", t, v):
                     assert w2.charge == w.charge - 1
 
     def test_anticommutators_small_window(self):
@@ -149,8 +154,8 @@ class TestInvariants:
             v = WedgeElement.basis(w)
             for tm in range(-7, 8, 2):
                 for tn in range(-7, 8, 2):
-                    mixed = (wedge.apply_mode("A", tm, astar_act(tn, w))
-                             + wedge.apply_mode("A*", tn, a_act(tm, w)))
+                    mixed = (apply_mode("A", tm, apply_mode("A*", tn, v))
+                             + apply_mode("A*", tn, apply_mode("A", tm, v)))
                     want = v.scale(-(Fraction(tm, 2) ** 2 - Fraction(1, 4))) \
                         if tm + tn == 0 else WedgeElement.zero()
                     assert mixed == want

@@ -7,39 +7,39 @@ import pytest
 from sl2crit import fock, rep, wedge, zalg
 from sl2crit.harness import state_basis, wedge_bases_up_to
 from sl2crit.rep import State, basis_state
-from sl2crit.zalg import gen_commutator, z_act_full, zop_via_definition
+from sl2crit.zalg import gen_commutator, zop_via_definition
 
 
 
 class TestModedOperators:
     def test_zplus_zero_on_vacuum(self):
         # Mode -1/2 would duplicate the fixed factor: annihilated.
-        assert z_act_full("+", 0, rep.v0()).is_zero()
+        assert not rep.act("Z+", 0, rep.v0())
 
     def test_zplus_minus_one_on_vacuum(self):
         want = basis_state((), wedge.WedgeBasis((-3,), ()), 1, -2)
-        assert z_act_full("+", -1, rep.v0()) == want
+        assert rep.act("Z+", -1, rep.v0()) == want
 
     def test_zplus_matches_raising_component(self):
-        got = z_act_full("+", -1, rep.v0())
-        assert got == rep.x_act(-1, rep.v0())
+        got = rep.act("Z+", -1, rep.v0())
+        assert got == rep.act("X", -1, rep.v0())
 
     def test_zminus_edge_cases_on_vacuum(self):
-        assert z_act_full("-", 0, rep.v0()).is_zero()
-        assert z_act_full("-", 1, rep.v0()).is_zero()
+        assert not rep.act("Z-", 0, rep.v0())
+        assert not rep.act("Z-", 1, rep.v0())
 
     def test_zminus_minus_one_on_vacuum(self):
         # astar mode -3/2 removes the second word letter: sign -1, scalar
         # -2, net +2 (the literal-word oracle in test_wedge fixes this).
         want = basis_state((), wedge.WedgeBasis((), (3,)), -1, 2)
-        assert z_act_full("-", -1, rep.v0()) == want
+        assert rep.act("Z-", -1, rep.v0()) == want
 
     def test_charge_shifts(self):
         s = basis_state((), wedge.WedgeBasis((-3,), ()), 1)
         for m in range(-3, 4):
-            for (_, w2, p2), _ in z_act_full("+", m, s):
+            for (_, w2, p2), _ in rep.act("Z+", m, s):
                 assert p2 == 2 and w2.charge == 2
-            for (_, w2, p2), _ in z_act_full("-", m, s):
+            for (_, w2, p2), _ in rep.act("Z-", m, s):
                 assert p2 == 0 and w2.charge == 0
 
 
@@ -48,7 +48,7 @@ SIGN_PAIRS = [("+", "-"), ("-", "+"), ("+", "+"), ("-", "-")]
 
 class TestGeneralizedCommutators:
     def test_plus_minus_at_zero_on_vacuum(self):
-        assert gen_commutator("+", "-", 0, 0, rep.v0()).is_zero()
+        assert not gen_commutator("+", "-", 0, 0, rep.v0())
 
     def test_plus_minus_eigenvalue(self):
         # (2p - 2m) delta_{m+n,0} on charge eigenstates.
@@ -73,8 +73,8 @@ class TestGeneralizedCommutators:
                 s = basis_state((), w, p)
                 for m in range(-3, 4):
                     for n in range(-3, 4):
-                        assert gen_commutator("+", "+", m, n, s).is_zero()
-                        assert gen_commutator("-", "-", m, n, s).is_zero()
+                        assert not gen_commutator("+", "+", m, n, s)
+                        assert not gen_commutator("-", "-", m, n, s)
 
     def test_bad_signs_rejected(self):
         with pytest.raises(ValueError):
@@ -117,8 +117,8 @@ class TestGeneralizedCommutators:
                             else State.zero()
                         assert gen_commutator("+", "-", m, n, s) == want, \
                             (mono, w, p, m, n)
-                        assert gen_commutator("+", "+", m, n, s).is_zero()
-                        assert gen_commutator("-", "-", m, n, s).is_zero()
+                        assert not gen_commutator("+", "+", m, n, s)
+                        assert not gen_commutator("-", "-", m, n, s)
 
 
 def codec_digest(states):
@@ -232,12 +232,12 @@ class TestDefinitionEquivalence:
                 s = basis_state((), w, p)
                 for m in range(-3, 4):
                     assert zop_via_definition("+", m, s) \
-                        == z_act_full("+", m, s), ("+", w, p, m)
+                        == rep.act("Z+", m, s), ("+", w, p, m)
                     assert zop_via_definition("-", m, s) \
-                        == z_act_full("-", m, s), ("-", w, p, m)
+                        == rep.act("Z-", m, s), ("-", w, p, m)
 
     def test_z_plus_zero_on_embedded_vacuum(self):
-        assert zop_via_definition("+", 0, rep.v0()).is_zero()
+        assert not zop_via_definition("+", 0, rep.v0())
 
     def test_commutes_with_heisenberg_on_dressed_state(self):
         # The centralizer property holds on states with a nontrivial Fock
@@ -246,8 +246,8 @@ class TestDefinitionEquivalence:
         for n in (-2, -1, 1, 2, 3):
             for m in range(-2, 3):
                 for sg in "+-":
-                    lhs = rep.h_act_full(n, zop_via_definition(sg, m, s))
-                    rhs = zop_via_definition(sg, m, rep.h_act_full(n, s))
+                    lhs = rep.act("H", n, zop_via_definition(sg, m, s))
+                    rhs = zop_via_definition(sg, m, rep.act("H", n, s))
                     assert lhs == rhs, (sg, n, m)
 
     @staticmethod
@@ -261,8 +261,8 @@ class TestDefinitionEquivalence:
             for sg in "+-":
                 for m in range(-2, 3):
                     for n in ns:
-                        lhs = rep.h_act_full(n, zop_via_definition(sg, m, s))
-                        rhs = zop_via_definition(sg, m, rep.h_act_full(n, s))
+                        lhs = rep.act("H", n, zop_via_definition(sg, m, s))
+                        rhs = zop_via_definition(sg, m, rep.act("H", n, s))
                         assert lhs == rhs, (key, sg, m, n)
                         nonzero += bool(lhs)
         return nonzero
@@ -282,7 +282,7 @@ class TestDefinitionEquivalence:
             s = rep.State.basis(key)
             for sg in "+-":
                 for m in range(-2, 3):
-                    assert zalg.z_act_full(sg, m, s) \
+                    assert rep.act("Z" + sg, m, s) \
                         == zop_via_definition(sg, m, s), (key, sg, m)
 
 
@@ -322,11 +322,14 @@ class TestPinnedDefinition:
     lambda sg: fock.e_coeff(sg, "+", 1, fock.ONE),
     lambda sg: gen_commutator(sg, "+", 0, 0, rep.v0()),
     lambda sg: zop_via_definition(sg, 0, rep.v0()),
-    lambda sg: zalg.z_act_full(sg, 0, rep.v0()),
-], ids=["e_coeff", "gen_commutator", "zop_via_definition", "z_act_full"])
+    lambda sg: rep.act("Z" + sg, 0, rep.v0()),
+    lambda sg: rep.act("Z" + sg, 0, State.zero()),
+], ids=["e_coeff", "gen_commutator", "zop_via_definition", "z_act_full",
+        "act-on-zero"])
 def test_sign_outside_plus_minus_rejected(call, bad):
     # "" and "+-" are substrings of "+-", so only a membership test in
-    # ("+", "-") rejects them.
+    # ("+", "-") rejects them.  rep.act refuses "Z", "Z+-" and "Zx" before
+    # it reads the state, so the zero state is refused too.
     with pytest.raises(ValueError):
         call(bad)
 
@@ -343,7 +346,7 @@ class TestVacuumSpaceMaps:
     def test_embedded_states_are_heisenberg_vacua(self):
         s = basis_state((), wedge.WedgeBasis((-5, -3), (3,)), -1)
         for n in range(1, 5):
-            assert rep.h_act_full(n, s).is_zero()
+            assert not rep.act("H", n, s)
 
 
 def test_omega_serialization_round_trip():
