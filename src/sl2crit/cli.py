@@ -53,12 +53,8 @@ ACT_SIZE_LIMIT = 20
 # documented `verify zalg --mode-bound 4` uses.  With every field at its
 # cap, `verify current` takes about 40 s and 430 MB; every other command
 # under 10 s and 41 MB.
-MODE_BOUND_LIMIT = 6
-MAX_TWICE_DEG_LIMIT = 12
-CHARGE_BOUND_LIMIT = 2
-WEDGE_DEG_CAP_LIMIT = 8
-WINDOW_LIMITS = dict(zip(SPEC_KEYS, (MODE_BOUND_LIMIT, MAX_TWICE_DEG_LIMIT,
-                                     CHARGE_BOUND_LIMIT, WEDGE_DEG_CAP_LIMIT)))
+WINDOW_LIMITS = {"mode_bound": 6, "max_twice_deg": 12, "charge_bound": 2,
+                 "wedge_deg_cap": 8}
 
 
 def read_input(path):

@@ -137,18 +137,23 @@ def _basis_label(key):
     return json.dumps(rep.key_to_json(key))
 
 
-def _sector_windows(spec):
-    """(window, key) for the keys of state_basis on spec, sector by
-    sector.  Every operator conserves the sector rep.sector(key), so each
-    sector gets its own rep.Window, dropped when the next one opens.  The
-    Fock word rows do not depend on the sector: the windows share one
-    table of them, made here and dropped with the generator."""
+def _word_residuals(spec, identities):
+    """(identity, params, key, residual) for every key of state_basis on
+    spec and every (identity, params, terms) of identities, in list order:
+    the residual is rep.Window.residual(key, *terms), terms being
+    (int, word) pairs.  Every operator conserves the sector
+    rep.sector(key), so each sector gets its own rep.Window, dropped when
+    the next one opens.  The Fock word rows do not depend on the sector:
+    the windows share one table of them, made here and dropped with the
+    generator."""
     basis = sorted(state_basis(spec.max_twice_deg, spec.charge_bound),
                    key=rep.sector)
     rows = {}
     for _, keys in groupby(basis, key=rep.sector):
         win = rep.Window(rows)
-        yield from ((win, key) for key in keys)
+        for key in keys:
+            for identity, params, terms in identities:
+                yield identity, params, key, win.residual(key, *terms)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +221,7 @@ def verify_current_relations(spec):
     """Loop-algebra brackets of the realized fields, componentwise.
 
     Each bracket is one integer sum of operator words on a key, taken
-    factor by factor in the rep.Window of its sector (_sector_windows),
+    factor by factor in the rep.Window of its sector (_word_residuals),
     and it passes when that sum is zero; a nonzero one is recorded as the
     same State residual.
     """
@@ -224,31 +229,26 @@ def verify_current_relations(spec):
                                 "max_twice_deg": spec.max_twice_deg,
                                 "charge_bound": spec.charge_bound})
     M = spec.mode_bound
-    fields = [("bracket_H_X", "X", 1), ("bracket_H_Y", "Y", -1)]
-    for win, key in _sector_windows(spec):
-        label = _basis_label(key)
-        for m in range(-M, M + 1):
-            for n in range(-M, M + 1):
-                # [H(m), F(n)] = +-2 F(m+n) for the charge +-1 fields.
-                for identity, f, charge in fields:
-                    res = win.residual(key, (1, (("H", m), (f, n))),
-                                       (-1, ((f, n), ("H", m))),
-                                       (-2 * charge, ((f, m + n),)))
-                    report.check(identity, [m, n], label, res)
-                xy = [(1, (("X", m), ("Y", n))),
-                      (-1, (("Y", n), ("X", m))),
-                      (-1, (("H", m + n),))]
-                if m + n == 0:
-                    xy.append((2 * m, ()))
-                report.check("bracket_X_Y", [m, n], label,
-                             win.residual(key, *xy))
-                if m and n:
-                    hh = [(1, (("H", m), ("H", n))),
-                          (-1, (("H", n), ("H", m)))]
-                    if m + n == 0:
-                        hh.append((4 * m, ()))
-                    report.check("bracket_H_H", [m, n], label,
-                                 win.residual(key, *hh))
+    brackets = []
+    for m in range(-M, M + 1):
+        for n in range(-M, M + 1):
+            # [H(m), F(n)] = +-2 F(m+n) for the charge +-1 fields.
+            for identity, f, charge in (("bracket_H_X", "X", 1),
+                                        ("bracket_H_Y", "Y", -1)):
+                brackets.append((identity, [m, n], (
+                    (1, (("H", m), (f, n))), (-1, ((f, n), ("H", m))),
+                    (-2 * charge, ((f, m + n),)))))
+            xy = ((1, (("X", m), ("Y", n))), (-1, (("Y", n), ("X", m))),
+                  (-1, (("H", m + n),)))
+            brackets.append(("bracket_X_Y", [m, n],
+                             xy + ((2 * m, ()),) if m + n == 0 else xy))
+            if m and n:
+                hh = ((1, (("H", m), ("H", n))), (-1, (("H", n), ("H", m))))
+                brackets.append(("bracket_H_H", [m, n],
+                                 hh + ((4 * m, ()),) if m + n == 0 else hh))
+    for identity, params, key, res in _word_residuals(spec, brackets):
+        report.check(identity, params, _basis_label(key) if res else None,
+                     res)
     return report.finalize()
 
 
@@ -499,25 +499,23 @@ def character_csv(table, kind="V"):
 
 def d_homogeneity_probe(spec):
     """Residuals of [d, F(m)] - m F(m), F = X, Y, H, per charge, each one
-    word sum in the window of its sector (_sector_windows), where the d
+    word sum in the window of its sector (_word_residuals), where the d
     letter reads the Fock degree that the word's paths carry.
     Informational: the report always passes; the residual statistics are
     the payload."""
     report = Report("probe-d", {"mode_bound": spec.mode_bound,
                                 "max_twice_deg": spec.max_twice_deg,
                                 "charge_bound": spec.charge_bound})
+    words = [(name, m, ((1, (("d", 0), (name, m))),
+                        (-1, ((name, m), ("d", 0))), (-m, ((name, m),))))
+             for m in range(-spec.mode_bound, spec.mode_bound + 1)
+             for name in "XYH"]
     stats = {}
-    for win, key in _sector_windows(spec):
-        for m in range(-spec.mode_bound, spec.mode_bound + 1):
-            for name in "XYH":
-                res = win.residual(key, (1, (("d", 0), (name, m))),
-                                   (-1, ((name, m), ("d", 0))),
-                                   (-m, ((name, m),)))
-                entry = stats.setdefault((name, key[2]), [0, 0])
-                entry[0] += 1
-                if res:
-                    entry[1] += 1
-            report.checks_run += 3
+    for name, _, key, res in _word_residuals(spec, words):
+        entry = stats.setdefault((name, key[2]), [0, 0])
+        entry[0] += 1
+        entry[1] += bool(res)
+        report.checks_run += 1
     report.extra["residual_stats"] = {
         f"{name},charge={p}": {"checks": c, "nonzero_residuals": bad}
         for (name, p), (c, bad) in sorted(stats.items())}

@@ -169,14 +169,14 @@ LETTERS = {"X": partial(_field_letter, "+"), "Y": partial(_field_letter, "-"),
            "Z-": partial(_z_letter, "-"), "d": _d_letter}
 
 
-def _fock_map(label, mono, deg):
-    """The Fock map of a label on a monomial of degree deg:
-    (((mono2, int), ...), den), H(n) over 1 or the vertex row Γ_k of sup
-    over fock._e_den(deg + k)."""
+def _fock_map(label, mono):
+    """The Fock map of a label on a monomial: (((mono2, int), ...), den),
+    H(n) over 1 or the vertex row Γ_k of sup over
+    fock._e_den(sum(mono) + k)."""
     kind, n = label
     if kind == "H":
         return fock._h_act_monomial(n, mono), 1
-    return fock._vertex_monomial(kind, n, mono), fock._e_den(deg + n)
+    return fock._vertex_monomial(kind, n, mono), fock._e_den(sum(mono) + n)
 
 
 def _kernel(op, m, key):
@@ -190,7 +190,7 @@ def _kernel(op, m, key):
     lift = 1
     for label, wp, c, den, _ in LETTERS[op](m, (w, p), deg):
         if label:
-            pairs, d = _fock_map(label, mono, deg)
+            pairs, d = _fock_map(label, mono)
             if not pairs:
                 continue
             den *= d
@@ -253,7 +253,7 @@ class Window:
             out = {}
             d = 1
             for mono2, c in inner:
-                pairs, d = _fock_map(labels[-1], mono2, sum(mono2))
+                pairs, d = _fock_map(labels[-1], mono2)
                 for mono3, c3 in pairs:
                     out[mono3] = out.get(mono3, 0) + c * c3
             row = self.rows[labels, mono] = (

@@ -93,6 +93,32 @@ class TestSuitesSmall:
         assert a == b
 
 
+class TestWordResiduals:
+    # 57 keys in state_basis(6, 2); modes -3..3 give 21 pairs m < n.
+    SPEC = CheckSpec(mode_bound=3, max_twice_deg=6, charge_bound=2)
+    PAIRS = [(m, n) for m in range(-3, 4) for n in range(m + 1, 4)]
+
+    def test_like_fields_commute(self):
+        # [X(m), X(n)] = 0 and [Y(m), Y(n)] = 0, which no suite checks.
+        words = [(f"bracket_{f}_{f}", [m, n],
+                  ((1, ((f, m), (f, n))), (-1, ((f, n), (f, m)))))
+                 for f in "XY" for m, n in self.PAIRS]
+        out = list(harness._word_residuals(self.SPEC, words))
+        assert len(words) == 42 and len(out) == 57 * 42 == 2394
+        # Every key gets the identities in list order.
+        assert [(i, p) for i, p, _, _ in out[:42]] \
+            == [(i, p) for i, p, _ in words]
+        assert len({key for _, _, key, _ in out}) == 57
+        assert [(i, p, key) for i, p, key, res in out if res] == []
+
+    def test_one_product_alone_is_not_zero(self):
+        # The check above is not vacuous: X(m) X(n) is nonzero on some key.
+        words = [("X_X", [m, n], ((1, (("X", m), ("X", n))),))
+                 for m, n in self.PAIRS]
+        assert any(res for *_, res in
+                   harness._word_residuals(self.SPEC, words))
+
+
 def z_suite_by_public_functions(spec):
     """verify_z_suite written with the public linear maps on one-key
     states: gen_commutator, zop_via_definition and rep.act of Z± and H."""

@@ -58,6 +58,28 @@ def test_no_public_name_is_a_partial():
         == []
 
 
+def _references(name, node, where=()):
+    """The qualified names of the defs around every reference to `name`
+    below node, as a bare name or as an attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _references(name, child, where + (child.name,))
+            continue
+        if (isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name):
+            yield ".".join(where)
+        yield from _references(name, child, where)
+
+
+def test_only_word_residuals_opens_a_window():
+    # One path from a word identity to its residual: a suite lists its
+    # identities for harness._word_residuals instead of opening a
+    # rep.Window of its own.
+    found = [(path.stem, where) for path in MODULES
+             for where in _references("Window", ast.parse(path.read_text()))]
+    assert found == [("harness", "_word_residuals")]
+
+
 def _readme_names():
     """The dotted names that open a backticked span of README.md outside
     its code blocks and whose first part, after an optional `sl2crit.`, is
