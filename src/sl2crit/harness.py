@@ -374,7 +374,10 @@ def verify_z_suite(spec):
     Z± and H), looked up when called, and passes when that sum is zero.
     gen_commutator, zop_via_definition and rep.act are the linear
     extensions of the same kernels, so a nonzero sum is recorded as the
-    State residual that they give.
+    State residual that they give.  The same-sign gencom kernels are the
+    finite sums of zalg.gen_commutator, at most |m - n| products each, and
+    H(n) on the key, the right side's inner image, is computed once per
+    key and shared by every (m, sign).
 
     The H_commutes_with_Z family is vacuous on this window: H(n),
     n = 1..3, sends every vacuum-space key to zero, so both sides of
@@ -405,6 +408,8 @@ def verify_z_suite(spec):
             # wedge degree 4 whatever the window.
             if w.degree() > 4:
                 continue
+            hs = [(n, h, h(key)) for n in range(1, 4)
+                  for h in [partial(rep._kernel, "H", n)]]
             for m in range(-M, M + 1):
                 for sg in "+-":
                     z = zalg._zop_basis(sg, m, key)
@@ -412,12 +417,11 @@ def verify_z_suite(spec):
                     report.check("definition_vs_closed_form", [sg, m], label,
                                  _residual(rep.State, [(1, z), (-1, closed)]))
                     zop = partial(zalg._zop_basis, sg, m)
-                    for n in range(1, 4):
-                        h = partial(rep._kernel, "H", n)
+                    for n, h, h_key in hs:
                         report.check("H_commutes_with_Z", [sg, m, n], label,
                                      _residual(rep.State,
                                                _after([(1, z)], h)
-                                               + _after([(-1, h(key))], zop)))
+                                               + _after([(-1, h_key)], zop)))
     return report.finalize()
 
 

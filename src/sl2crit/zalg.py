@@ -7,11 +7,16 @@ Z-operator reduces to a single oscillator mode per charge sector on
 is carried over.  The basis-level mode _z_basis, its bound _reach and the
 Z letters live in rep, which applies them as rep.act("Z+", m, s) and
 rep.act("Z-", m, s); its X and Y are the same modes dressed by the
-Heisenberg exponentials, so one cache serves X, Y and Z±.  The series
-definition on the full module (X or Y dressed by the inverse
-exponentials, zop_via_definition) is kept as a check that those
-exponentials cancel the Heisenberg part of the field; the independent
-evidence for X and Y is the direct oscillator sum in the tests.
+Heisenberg exponentials, so one cache serves X, Y and Z±.  A same-sign
+generalized commutator is an infinite series whose products with outer
+mode a <= min(m, n) cancel in pairs; on a key (w, p) of reach R it is the
+finite sum sign(m - n) * sum Z(a) Z(m + n - a) over
+max(min(m, n) + 1, m + n - R) <= a <= min(max(m, n), R + 1), which
+gen_commutator derives.  The series definition on the full module (X or
+Y dressed by the inverse exponentials, zop_via_definition) is kept as a
+check that those exponentials cancel the Heisenberg part of the field;
+the independent evidence for X and Y is the direct oscillator sum in the
+tests.
 """
 
 from __future__ import annotations
@@ -35,23 +40,28 @@ def _pair_term(s1, s2, j1, j2, key):
 
 def _gencom_basis(s1, s2, m, n, key):
     """The kernel of gen_commutator on a basis key (mono, w, p), over den
-    1.  The Z-modes act on (w, p) alone: the series is summed on (w, p),
-    and mono is put back on each key whose sum is nonzero."""
+    1.  The Z-modes act on (w, p) alone: the sum is taken on (w, p), and
+    mono is put back on each key whose sum is nonzero."""
     # (1 - w/z)^e contributes (w/z)^k with weight (-1)^k C(e, k),
     # shifting the z-component down and the w-component up by k; the
-    # swapped product expands in z/w and shifts the other way.  That weight
-    # is 1, -1 for e = +1 (opposite signs) and 1 for every k when e = -1.
+    # swapped product expands in z/w and shifts the other way.  For
+    # opposite signs e = +1: the weights 1, -1 at k = 0, 1.  For equal
+    # signs the series telescopes to the finite sum of gen_commutator.
     mono, wp = key[0], key[1:]
     if s1 != s2:
-        weights = (1, -1)
+        products = ((1, s1, s2, m, n), (-1, s2, s1, n, m),
+                    (-1, s1, s2, m - 1, n + 1), (1, s2, s1, n - 1, m + 1))
     else:
-        weights = (1,) * (_reach(s1, *wp) - min(m, n) + 1)
+        r = _reach(s1, *wp)
+        sg = 1 if m > n else -1
+        products = [(sg, s1, s1, a, m + n - a)
+                    for a in range(max(min(m, n) + 1, m + n - r),
+                                   min(max(m, n), r + 1) + 1)]
     sums = {}
-    for k, wt in enumerate(weights):
-        for term, sg in ((_pair_term(s1, s2, m - k, n + k, wp), wt),
-                         (_pair_term(s2, s1, n - k, m + k, wp), -wt)):
-            if term:
-                sums[term[0]] = sums.get(term[0], 0) + sg * term[1]
+    for wt, sa, sb, ja, jb in products:
+        term = _pair_term(sa, sb, ja, jb, wp)
+        if term:
+            sums[term[0]] = sums.get(term[0], 0) + wt * term[1]
     return [((mono,) + wp2, c) for wp2, c in sums.items() if c], 1
 
 
@@ -62,11 +72,20 @@ def gen_commutator(s1, s2, m, n, s):
 
     The binomial weights come from the expansion exponent
     (phi1, phi2)/(-2), which is +1 for opposite signs (a finite sum over
-    k = 0, 1) and -1 for equal signs (an infinite series over k >= 0).
-    On each basis key (mono, w, p) the series ends at an exact bound of
-    its own: term k applies Z^{s1}(n + k) or Z^{s1}(m + k) to (w, p) first,
-    and both vanish once n + k and m + k exceed _reach(s1, w, p), that is
-    for k > _reach(s1, w, p) - min(m, n).  Each term on a basis key is one
+    k = 0, 1) and -1 for equal signs, where every weight is 1:
+        sum_{k >= 0} [Z(m - k) Z(n + k) - Z(n - k) Z(m + k)],
+    Z = Z^{s1} = Z^{s2}.  On a basis key (mono, w, p) the sum telescopes
+    to a finite one.  Put a = m - k in the first product and a = n - k in
+    the second: both are Z(a) Z(m + n - a), summed over a <= m and over
+    a <= n.  Let R = _reach(s1, w, p).  The inner mode m + n - a vanishes
+    on (w, p) above R, so both sums are finite, and the products with
+    a <= min(m, n) cancel term by term.  What is left is
+        sign(m - n) * sum of Z(a) Z(m + n - a), min(m, n) < a <= max(m, n),
+    at most |m - n| products, none for m = n.  It is clipped to
+    m + n - R <= a <= R + 1.  The outer mode acts on a key of charge
+    p +- 1, and a flip of sign s1 either undoes an own mode of w or
+    perturbs the other side, so the own modes of that key are among those
+    of w and its reach is at most R + 1.  Each term on a basis key is one
     key times an int (_pair_term), so the kernel is a sum of ints.
     """
     if s1 not in ("+", "-") or s2 not in ("+", "-"):

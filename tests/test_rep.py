@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 import sl2crit
 from sl2crit import fock, rep, wedge, zalg
 from sl2crit.fock import FockElement
-from sl2crit.harness import CheckSpec, state_basis, verify_current_relations
+from sl2crit.harness import (CheckSpec, state_basis,
+                             verify_current_relations, wedge_bases_up_to)
 from sl2crit.rep import (NotAWeightVector, State, act, alpha0_eig,
                          basis_state, c_act, chevalley_act, lattice_d_eig, v0,
                          v1, weight_of)
@@ -148,6 +149,19 @@ def test_field_kernel_matches_direct_oscillator_sum(sign):
             assert got == direct_field(sign, m, key).terms, (sign, m, key)
             nonzero += bool(got)
     assert nonzero > 500
+
+
+def test_reach_is_the_outermost_own_mode():
+    # _reach reads the last hole or the first extra negative; the bound it
+    # states is the one of wedge.own_modes, on 135 wedges x 7 charges.
+    wedges = list(wedge_bases_up_to(8))
+    assert len(wedges) == 135
+    for w in wedges:
+        for p in range(-3, 4):
+            for sign, step in (("+", 1), ("-", -1)):
+                want = ((max(wedge.own_modes(step, w), default=-3) + 1) // 2
+                        + step * p)
+                assert rep._reach(sign, w, p) == want, (sign, w, p)
 
 
 class TestGroundTruthVectors:

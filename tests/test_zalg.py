@@ -163,7 +163,8 @@ class TestPinnedOutput:
 class TestExactTermination:
     """On a basis key (w, p) a same-sign series ends at
     k = _reach(w, p) - min(m, n): every later term applies a mode above
-    the reach first."""
+    the reach first.  The series summed term by term past that bound is
+    the oracle of the telescoped finite sum that _gencom_basis computes."""
 
     @staticmethod
     def tail_is_zero(sg, m, n, key, kmax):
@@ -196,6 +197,67 @@ class TestExactTermination:
                                 (sg, w, p, m, n)
                             cases += 1
         assert cases == 10290
+
+    @staticmethod
+    def counting_pair_terms(monkeypatch, weight=None):
+        """Patch zalg._pair_term to count its calls and nonzero results,
+        each result times weight(j1, j2) when a weight is given."""
+        counts = {"calls": 0, "nonzero": 0}
+        orig = zalg._pair_term
+
+        def counted(s1, s2, j1, j2, key):
+            term = orig(s1, s2, j1, j2, key)
+            counts["calls"] += 1
+            counts["nonzero"] += bool(term)
+            if term and weight:
+                term = (term[0], term[1] * weight(j1, j2))
+            return term
+        monkeypatch.setattr(zalg, "_pair_term", counted)
+        return counts
+
+    # The telescoping holds for any weight of the products Z(j1) Z(j2),
+    # while the same-sign relations hold only for weight 1.  This one is
+    # never zero and does not factor through j1 + j2, so the weighted sums
+    # show the sign and the modes of every product.
+    @pytest.mark.parametrize("weight,nonzero_sums", [
+        (None, 0), (lambda j1, j2: (3 * j1 + 1) * (j2 * j2 + 1), 1220)],
+        ids=["Z", "weighted"])
+    def test_finite_sum_matches_the_series(self, monkeypatch, weight,
+                                           nonzero_sums):
+        # Every key of wedge_bases_up_to(3) x p in [-2, 2], both signs,
+        # m, n in [-3, 3] and three far pairs: the finite sum equals the
+        # series summed 8 terms past its bound, and makes at most |m - n|
+        # products.
+        keys = [(w, p) for w in wedge_bases_up_to(3) for p in range(-2, 3)]
+        assert len(keys) == 60
+        mn = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+        mn += [(50, -50), (60, 0), (0, -60)]
+        counts = self.counting_pair_terms(monkeypatch, weight)
+        products = sums = 0
+        for key in keys:
+            for sg in "+-":
+                reach = zalg._reach(sg, *key)
+                for m, n in mn:
+                    want = self.series(sg, m, n, key, reach - min(m, n) + 8)
+                    calls, nonzero = counts["calls"], counts["nonzero"]
+                    pairs, den = zalg._gencom_basis(sg, sg, m, n,
+                                                    ((),) + key)
+                    assert counts["calls"] - calls <= abs(m - n)
+                    products += counts["nonzero"] - nonzero
+                    assert den == 1
+                    assert {k[1:]: c for k, c in pairs} == want, \
+                        (sg, key, m, n)
+                    sums += bool(pairs)
+        # The unweighted sums vanish by cancellation, not for want of
+        # products.
+        assert products == 9460
+        assert sums == nonzero_sums
+
+    def test_far_modes_make_few_products(self, monkeypatch):
+        # On the vacuum, of reach -1, the clip leaves no product at all.
+        counts = self.counting_pair_terms(monkeypatch)
+        assert not gen_commutator("+", "+", 10**9, -10**9, rep.v0())
+        assert counts["calls"] <= 2
 
     def test_each_key_ends_at_its_own_reach(self):
         keys = [(wedge.WedgeBasis((), (9,)), 1),
