@@ -38,15 +38,15 @@ def main():
             assert got == s.scale(2 * p - 2 * m), (p, m)
     print("[Z+(m), Z-(-m)]-type commutator acts by 2p - 2m")
 
-    # Same-sign generalized commutators vanish; the infinite sum ends at
-    # an exact bound, past which every term applies a mode beyond the
-    # outermost hole or extra negative factor of the wedge.
+    # Same-sign generalized commutators vanish.  On a basis key the
+    # series telescopes to a finite sum of at most |m - n| products
+    # Z(a) Z(m + n - a), min(m, n) < a <= max(m, n).
     for m in (-2, 0, 3):
         for n in (-1, 2):
             assert not zalg.gen_commutator("+", "+", m, n, vac)
             assert not zalg.gen_commutator("-", "-", m, n, vac)
-    print("same-sign generalized commutators vanish (series ends at the "
-          "wedge reach)")
+    print("same-sign generalized commutators vanish (a finite sum of at "
+          "most |m - n| products)")
 
     # The dressed modes commute with the Heisenberg annihilators, so
     # they genuinely preserve the vacuum space.

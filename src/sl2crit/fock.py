@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .linear import LinearCombination
+from .linear import LinearCombination, combine
 
 # A Fock monomial is a tuple of positive integer parts, sorted descending;
 # part n stands for one factor H(-n).  The empty tuple is the vacuum 1.
@@ -149,24 +149,20 @@ def _e_coeff_monomial(sup, sub, k, mono):
 
 @lru_cache(maxsize=VERTEX_CACHE_SIZE)
 def _vertex_monomial(sup, k, mono):
-    """z^k coefficient of E^sup_+(z) E^sup_-(z) applied to a monomial,
-    times _e_den(sum(mono) + k): a tuple of (monomial, nonzero int) pairs.
+    """The kernel of the z^k coefficient of E^sup_+(z) E^sup_-(z) on a
+    monomial: (((monomial, nonzero int), ...), _e_den(sum(mono) + k)).
 
     This is the Heisenberg part of X (sup '+') and Y (sup '-'): the sum
-    over k1 - k2 = k of the creation coefficient at z^k1 after the
-    annihilation coefficient at z^-k2.  The annihilation side lowers the
-    degree by k2, so k2 <= sum(mono), k1 <= sum(mono) + k, and each term
-    is lifted from _e_den(k1) to the row's denominator.
+    over k1 - k2 = k of the creation kernel at z^k1 on the annihilation
+    rows at z^-k2, by one linear.combine.  The annihilation side lowers
+    the degree by k2, so k2 <= sum(mono).  The row at k2 = sum(mono) is
+    never empty and 2^k k! divides 2^k' k'! for k <= k', so the lcm of the
+    terms is _e_den(sum(mono) + k).
     """
-    deg = sum(mono)
-    den = _e_den(deg + k)
-    out = {}
-    for k2 in range(max(0, -k), deg + 1):
-        lift = den // _e_den(k2 + k)
-        for m1, c1 in _e_coeff_monomial(sup, "-", -k2, mono):
-            for m2, c2 in _e_coeff_monomial(sup, "+", k2 + k, m1):
-                out[m2] = out.get(m2, 0) + lift * c1 * c2
-    return tuple((m, c) for m, c in out.items() if c)
+    sums, den = combine([(c1, _e_kernel(sup, "+", k2 + k, m1))
+                         for k2 in range(max(0, -k), sum(mono) + 1)
+                         for m1, c1 in _e_coeff_monomial(sup, "-", -k2, mono)])
+    return tuple(sums.items()), den
 
 
 def _e_kernel(sup, sub, k, mono):

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 
 from . import fock, wedge
-from .linear import LinearCombination
+from .linear import LinearCombination, combine
 
 
 class State(LinearCombination):
@@ -121,8 +121,8 @@ def _field_letter(sup, m, wp, deg):
     k1 - k2 = j - m, so
         X(m) (mono ⊗ ω) = sum_j Γ_{j-m}(mono) ⊗ Z(j) ω,
     Γ_k the z^k coefficient of the two exponentials, labelled (sup, k)
-    (fock._vertex_monomial over fock._e_den(deg + k)).  Γ_k vanishes
-    below k = -deg and Z(j) above _reach, so j runs over
+    (the fock kernel _vertex_monomial, over 2^K K! at K = deg + k).
+    Γ_k vanishes below k = -deg and Z(j) above _reach, so j runs over
     m - deg .. _reach.  Distinct j flip distinct modes and give distinct
     wedges, so no Ω key repeats.
     """
@@ -175,20 +175,20 @@ LETTERS = {"X": partial(_field_letter, "+"), "Y": partial(_field_letter, "-"),
 
 
 def _fock_map(label, mono):
-    """The Fock map of a label on a monomial: (((mono2, int), ...), den),
-    H(n) over 1 or the vertex row Γ_k of sup over
-    fock._e_den(sum(mono) + k)."""
+    """The Fock map of a label on a monomial, as its fock kernel
+    (((mono2, int), ...), den): fock._h_kernel for ("H", n), else the
+    vertex row Γ_k of sup, fock._vertex_monomial."""
     kind, n = label
     if kind == "H":
-        return fock._h_act_monomial(n, mono), 1
-    return fock._vertex_monomial(kind, n, mono), fock._e_den(sum(mono) + n)
+        return fock._h_kernel(n, mono)
+    return fock._vertex_monomial(kind, n, mono)
 
 
 def _kernel(op, m, key):
     """op(m) on a basis triple, (((key2, int), ...), den): the one-letter
     word of LETTERS, each path lifted to the lcm of their denominators.
-    X and Y come over fock._e_den(K), K = deg + j - m the largest creation
-    power of their paths."""
+    X and Y come over the den of their vertex row of largest creation
+    power K = deg + j - m."""
     mono, w, p = key
     deg = sum(mono)
     paths = []
@@ -248,21 +248,17 @@ class Window:
 
     def _row(self, labels, mono):
         """The Fock maps of labels, innermost first, composed on mono:
-        (((mono2, int), ...), den).  Every map is homogeneous, so one den
-        serves each step: a nonempty row's den is the product of theirs."""
+        (((mono2, int), ...), den), each step one combine of the images of
+        the inner row.  Every map is homogeneous, so a nonempty row's den
+        is the product of theirs."""
         if not labels:
             return ((mono, 1),), 1
         row = self.rows.get((labels, mono))
         if row is None:
             inner, den = self._row(labels[:-1], mono)
-            out = {}
-            d = 1
-            for mono2, c in inner:
-                pairs, d = _fock_map(labels[-1], mono2)
-                for mono3, c3 in pairs:
-                    out[mono3] = out.get(mono3, 0) + c * c3
-            row = self.rows[labels, mono] = (
-                tuple((k, c) for k, c in out.items() if c), den * d)
+            sums, d = combine([(c, _fock_map(labels[-1], mono2))
+                               for mono2, c in inner])
+            row = self.rows[labels, mono] = tuple(sums.items()), den * d
         return row
 
     def residual(self, key, *terms):
@@ -291,6 +287,7 @@ class Window:
                 if pairs:
                     parts.append((wp, pairs, a * s, d * den))
         lift = lcm(*[d for *_, d in parts])
+        # By hand: a combine per Ω key ran 6% more bytecode on (3,5,2).
         sums = {}
         for wp, pairs, s, d in parts:
             out = sums.get(wp)

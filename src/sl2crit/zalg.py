@@ -40,8 +40,9 @@ def _pair_term(s1, s2, j1, j2, key):
 
 def _gencom_basis(s1, s2, m, n, key):
     """The kernel of gen_commutator on a basis key (mono, w, p), over den
-    1.  The Z-modes act on (w, p) alone: the sum is taken on (w, p), and
-    mono is put back on each key whose sum is nonzero."""
+    1, as its products unsummed: the Z-modes act on (w, p) alone, and
+    mono is put back on each product that is nonzero.  Its consumers sum
+    the products once, by linear.combine."""
     # (1 - w/z)^e contributes (w/z)^k with weight (-1)^k C(e, k),
     # shifting the z-component down and the w-component up by k; the
     # swapped product expands in z/w and shifts the other way.  For
@@ -57,12 +58,9 @@ def _gencom_basis(s1, s2, m, n, key):
         products = [(sg, s1, s1, a, m + n - a)
                     for a in range(max(min(m, n) + 1, m + n - r),
                                    min(max(m, n), r + 1) + 1)]
-    sums = {}
-    for wt, sa, sb, ja, jb in products:
-        term = _pair_term(sa, sb, ja, jb, wp)
-        if term:
-            sums[term[0]] = sums.get(term[0], 0) + wt * term[1]
-    return [((mono,) + wp2, c) for wp2, c in sums.items() if c], 1
+    return [((mono,) + term[0], wt * term[1])
+            for wt, sa, sb, ja, jb in products
+            for term in [_pair_term(sa, sb, ja, jb, wp)] if term], 1
 
 
 def gen_commutator(s1, s2, m, n, s):
@@ -86,7 +84,7 @@ def gen_commutator(s1, s2, m, n, s):
     p +- 1, and a flip of sign s1 either undoes an own mode of w or
     perturbs the other side, so the own modes of that key are among those
     of w and its reach is at most R + 1.  Each term on a basis key is one
-    key times an int (_pair_term), so the kernel is a sum of ints.
+    key times an int (_pair_term), so the kernel lists ints over den 1.
     """
     if s1 not in ("+", "-") or s2 not in ("+", "-"):
         raise ValueError("signs must be '+' or '-'")
@@ -96,31 +94,32 @@ def gen_commutator(s1, s2, m, n, s):
 def _zop_basis(sgn, m, key):
     """The kernel of zop_via_definition on a basis triple (mono, w, p).
 
-    The annihilation coefficient at depth b gives Fock monomials mono1
-    with int coefficients; the field component j = m + a - b (z-balance
+    The annihilation kernel at depth b gives Fock monomials mono1 of
+    degree sum(mono) - b; the field component j = m + a - b (z-balance
     a - b - j = -m) on (mono1, w, p) gives ints over its own denominator;
-    and the creation coefficient at z^a gives ints over fock._e_den(a).
-    Field components above sum(mono1) + _reach(sgn, w, p) vanish on
+    and the creation kernel at z^a gives ints over its own.  Every
+    exponential is read as a fock kernel (fock._e_kernel).  Field
+    components above sum(mono1) + _reach(sgn, w, p) vanish on
     (mono1, w, p): every oscillator mode that acts there would need a
     negative creation power in the z-balance of the X or Y letter, as
-    Z^sgn does above _reach.  The sum over (b, mono1, a) is taken in ints
-    over the lcm of the denominators (linear.combine).
+    Z^sgn does above _reach.  So a <= sum(mono) + _reach(sgn, w, p) - m
+    for every b.  The sum over (b, mono1, a) is taken in ints over the lcm
+    of the denominators (linear.combine).
     """
     sup, field = ("-", "X") if sgn == "+" else ("+", "Y")
     mono, w, p = key
+    top = sum(mono) + _reach(sgn, w, p) - m
     parts = []
     for b in range(sum(mono) + 1):
-        for mono1, c1 in fock._e_coeff_monomial(sup, "-", -b, mono):
-            cap = sum(mono1) + _reach(sgn, w, p)
-            for a in range(cap - m + b + 1):
-                terms, den = rep._kernel(field, m + a - b, (mono1, w, p))
-                if not terms:
-                    continue
-                image = [((mono3, w2, p2), c2 * c3)
-                         for (mono2, w2, p2), c2 in terms
-                         for mono3, c3 in fock._e_coeff_monomial(
-                             sup, "+", a, mono2)]
-                parts.append((c1, (image, den * fock._e_den(a))))
+        ann, den1 = fock._e_kernel(sup, "-", -b, mono)
+        for mono1, c1 in ann:
+            for a in range(top + 1):
+                terms, den2 = rep._kernel(field, m + a - b, (mono1, w, p))
+                for (mono2, w2, p2), c2 in terms:
+                    pairs, den3 = fock._e_kernel(sup, "+", a, mono2)
+                    parts.append((c1 * c2, (
+                        [((mono3, w2, p2), c3) for mono3, c3 in pairs],
+                        den1 * den2 * den3)))
     sums, lift = combine(parts)
     return sums.items(), lift
 

@@ -130,17 +130,18 @@ class TestIntegerView:
 
     def test_vertex_rows_are_the_exponential_products(self):
         # Gamma_k = sum over k1 - k2 = k of E_+(k1) E_-(-k2), read as
-        # Fractions over _e_den(deg + k), on every monomial of degree <= 6;
-        # rows hold nonzero ints only.
+        # Fractions over its den, on every monomial of degree <= 6; rows
+        # hold nonzero ints only, and the den is _e_den(deg + k) even where
+        # the row is empty.
         rows = 0
         for f in range(7):
             for mono in fock._partitions(f):
                 v = FockElement.basis(mono)
                 for sup in "+-":
                     for k in range(-f - 1, 5):
-                        got = fock._vertex_monomial(sup, k, mono)
+                        got, den = fock._vertex_monomial(sup, k, mono)
                         assert all(type(c) is int and c for _, c in got)
-                        den = fock._e_den(f + k)
+                        assert den == fock._e_den(f + k)
                         want = sum((e_coeff(sup, "+", k2 + k,
                                             e_coeff(sup, "-", -k2, v))
                                     for k2 in range(max(0, -k), f + 1)),

@@ -168,6 +168,8 @@ def doubling(module, name, args):
             return out
         if name in ("_z_basis", "flip"):
             return out[0], 2 * out[1]
+        if name == "_vertex_monomial":
+            return tuple((k, 2 * c) for k, c in out[0]), out[1]
         return tuple((k, 2 * c) for k, c in out)
     return fn
 

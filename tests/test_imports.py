@@ -80,6 +80,16 @@ def test_only_word_residuals_opens_a_window():
     assert found == [("harness", "_word_residuals")]
 
 
+def test_fock_tables_are_read_through_kernels():
+    # fock owns its denominators: other modules read a Fock map only as a
+    # kernel (pairs, den) such as fock._e_kernel, never its raw tables.
+    found = [(path.stem, name, where) for path in MODULES
+             if path.stem != "fock"
+             for name in ("_e_den", "_e_coeff_monomial", "_h_act_monomial")
+             for where in _references(name, ast.parse(path.read_text()))]
+    assert found == []
+
+
 def _readme_names():
     """The dotted names that open a backticked span of README.md outside
     its code blocks and whose first part, after an optional `sl2crit.`, is

@@ -386,9 +386,12 @@ def test_fock_rows_live_for_one_call():
     spec = CheckSpec(mode_bound=1, max_twice_deg=4, charge_bound=1)
     assert verify_current_relations(spec).passed
     orig = fock._vertex_monomial
+
+    def doubled(sup, k, mono):
+        pairs, den = orig(sup, k, mono)
+        return tuple((mono2, 2 * c) for mono2, c in pairs), den
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fock, "_vertex_monomial", lambda sup, k, mono: tuple(
-            (mono2, 2 * c) for mono2, c in orig(sup, k, mono)))
+        mp.setattr(fock, "_vertex_monomial", doubled)
         report = verify_current_relations(spec)
     assert report.failures
     assert {f["identity"] for f in report.failures} == {"bracket_X_Y"}

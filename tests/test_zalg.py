@@ -6,6 +6,7 @@ import pytest
 
 from sl2crit import fock, rep, wedge, zalg
 from sl2crit.harness import state_basis, wedge_bases_up_to
+from sl2crit.linear import combine
 from sl2crit.rep import State, basis_state
 from sl2crit.zalg import gen_commutator, zop_via_definition
 
@@ -240,14 +241,14 @@ class TestExactTermination:
                 for m, n in mn:
                     want = self.series(sg, m, n, key, reach - min(m, n) + 8)
                     calls, nonzero = counts["calls"], counts["nonzero"]
-                    pairs, den = zalg._gencom_basis(sg, sg, m, n,
-                                                    ((),) + key)
+                    got, den = combine([(1, zalg._gencom_basis(
+                        sg, sg, m, n, ((),) + key))])
                     assert counts["calls"] - calls <= abs(m - n)
                     products += counts["nonzero"] - nonzero
                     assert den == 1
-                    assert {k[1:]: c for k, c in pairs} == want, \
+                    assert {k[1:]: c for k, c in got.items()} == want, \
                         (sg, key, m, n)
-                    sums += bool(pairs)
+                    sums += bool(got)
         # The unweighted sums vanish by cancellation, not for want of
         # products.
         assert products == 9460
@@ -272,10 +273,10 @@ class TestExactTermination:
                 for m in range(-3, 4):
                     for n in range(-3, 4):
                         kmax = reach - min(m, n)
-                        pairs, den = zalg._gencom_basis(sg, sg, m, n,
-                                                        ((),) + key)
+                        got, den = combine([(1, zalg._gencom_basis(
+                            sg, sg, m, n, ((),) + key))])
                         assert den == 1
-                        assert {k[1:]: c for k, c in pairs if c} \
+                        assert {k[1:]: c for k, c in got.items()} \
                             == self.series(sg, m, n, key, kmax + 8)
                         kept[sg, key] += bool(
                             zalg._pair_term(sg, sg, m - kmax, n + kmax, key)
